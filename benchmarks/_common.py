@@ -91,21 +91,6 @@ def backend() -> str:
     return default_backend_name()
 
 
-def offload_tier():
-    """The accel backend's resolved offload tier, or ``None``.
-
-    ``None`` whenever the active backend is not ``accel`` — only accel
-    timings vary with the offload environment, and ``bench_diff`` treats
-    ``None`` as comparable with anything (pre-existing history rows
-    carry no tier field).
-    """
-    if backend() != "accel":
-        return None
-    from repro.backend.accel import resolve_offload_tier
-
-    return resolve_offload_tier()
-
-
 def _jsonable(value):
     """Coerce dataclasses (rows) and mappings into JSON-able structures."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -142,7 +127,6 @@ def report(name: str, lines, data=None, elapsed_s=None) -> str:
         "trials": trials(),
         "jobs": jobs(),
         "backend": backend(),
-        "offload_tier": offload_tier(),
         "elapsed_s": (float(elapsed_s) if elapsed_s is not None
                       else time.perf_counter() - _T0),
         "created_unix": time.time(),
@@ -173,7 +157,6 @@ def _append_history(sidecar: dict) -> None:
         "name": sidecar["name"],
         "preset": sidecar["preset"],
         "backend": sidecar["backend"],
-        "offload_tier": sidecar["offload_tier"],
         "jobs": sidecar["jobs"],
         "trials": sidecar["trials"],
         "elapsed_s": sidecar["elapsed_s"],

@@ -14,9 +14,8 @@ Two implementations ship with the library:
 * ``reference`` (:mod:`repro.backend.reference`) — the original
   loop-based kernels, kept verbatim as the correctness oracle;
 * ``vectorized`` (:mod:`repro.backend.vectorized`) — the default:
-  strided-view windows and a batched bit-serial VMM;
-* ``accel`` (:mod:`repro.backend.accel`) — the bit-plane-packed BLAS
-  reformulation of the VMM, with optional numba/torch offload tiers.
+  strided-view windows, a batched bit-serial VMM for finite ADCs and
+  one packed GEMM for an ideal ADC.
 
 Every backend must be *numerically interchangeable* with ``reference``
 up to float rounding; the guarantee is asserted by the shared
@@ -48,8 +47,9 @@ class EngineOperands:
     of shape (rows, cols, n_cells), the per-group registers/complement
     masks of shape (n_groups, cols) and the quantization geometry. The
     derived views backends need — the crossbar real weights, the
-    group-padded cell tensor, the complement sign matrix and the
-    per-group input-sum gain of Eq. 7 — are computed lazily and cached,
+    group-padded cell tensor, the complement sign matrix, the
+    per-group input-sum gain of Eq. 7 and the packed ideal-ADC GEMM
+    operand — are computed lazily and cached,
     so each backend only ever pays for the intermediates it uses and
     repeated ``forward`` calls recompute nothing.
     """
@@ -75,12 +75,8 @@ class EngineOperands:
         self._crw: Optional[np.ndarray] = None
         self._cells_grouped: Optional[np.ndarray] = None
         self._sign: Optional[np.ndarray] = None
-        self._signed_crw_grouped: Optional[np.ndarray] = None
         self._offset_gain: Optional[np.ndarray] = None
-        self._offset_gain_rows: Optional[np.ndarray] = None
         self._packed_ideal_weights: Optional[np.ndarray] = None
-        self._cells_packed: Optional[np.ndarray] = None
-        self._bit_weights: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # cached derived views
@@ -127,21 +123,6 @@ class EngineOperands:
         return self._sign
 
     @property
-    def signed_crw_grouped(self) -> np.ndarray:
-        """CRW regrouped and pre-multiplied by the complement sign:
-        shape (n_groups, granularity, cols).
-
-        Contracting quantized inputs against this matrix yields the
-        signed analog contribution of every group in one pass — the
-        ideal-ADC fast path of the vectorized backend.
-        """
-        if self._signed_crw_grouped is None:
-            grouped = self._pad_rows(self.crw).reshape(
-                self.n_groups, self.granularity, self.cols)
-            self._signed_crw_grouped = grouped * self.sign[:, None, :]
-        return self._signed_crw_grouped
-
-    @property
     def offset_gain(self) -> np.ndarray:
         """Per-group input-sum gain of the digital post-processing,
         shape (n_groups, cols).
@@ -158,22 +139,6 @@ class EngineOperands:
         return self._offset_gain
 
     @property
-    def offset_gain_rows(self) -> np.ndarray:
-        """:attr:`offset_gain` expanded from groups to rows, shape
-        (rows, cols): ``offset_gain_rows[r] = offset_gain[r // m]``.
-
-        Because every row of group ``g`` contributes its input once to
-        the group sum ``gx_g``, the per-group digital term
-        ``gx @ offset_gain`` equals the per-row GEMM
-        ``x @ offset_gain_rows`` — which lets the accel backend fold the
-        offset add into the packed weight matrix.
-        """
-        if self._offset_gain_rows is None:
-            expanded = np.repeat(self.offset_gain, self.granularity, axis=0)
-            self._offset_gain_rows = expanded[:self.rows]
-        return self._offset_gain_rows
-
-    @property
     def packed_ideal_weights(self) -> np.ndarray:
         """The single packed GEMM operand of the ideal-ADC forward,
         shape (rows, cols).
@@ -185,69 +150,23 @@ class EngineOperands:
         post-processing and the ISAAC zero-point correction all fold
         into one matrix::
 
-            P = sign_rows * CRW + offset_gain_rows - weight_zero_point
+            P = sign_rows * CRW + gain_rows - weight_zero_point
             z = xq @ P
 
-        (``sign_rows`` expands the per-group complement sign to rows the
-        same way :attr:`offset_gain_rows` expands the gain.) See
-        DESIGN.md's bit-plane packing section for the derivation.
+        ``sign_rows`` / ``gain_rows`` expand the per-group complement
+        sign and :attr:`offset_gain` to rows (``row r -> group r // m``):
+        every row of a group contributes its input once to the group
+        sum, so ``gx @ offset_gain == xq @ gain_rows``. See DESIGN.md's
+        ideal-ADC packing section for the derivation.
         """
         if self._packed_ideal_weights is None:
-            flat_signed = self.signed_crw_grouped.reshape(
-                self.padded_rows, self.cols)[:self.rows]
+            m, rows = self.granularity, self.rows
+            sign_rows = np.repeat(self.sign, m, axis=0)[:rows]
+            gain_rows = np.repeat(self.offset_gain, m, axis=0)[:rows]
             self._packed_ideal_weights = np.ascontiguousarray(
-                flat_signed + self.offset_gain_rows
+                sign_rows * self.crw + gain_rows
                 - float(self.weight_zero_point))
         return self._packed_ideal_weights
-
-    @property
-    def cells_packed(self) -> np.ndarray:
-        """:attr:`cells_grouped` with the column and cell axes merged
-        into one GEMM output axis: shape (n_groups, granularity,
-        cols * n_cells), contiguous.
-
-        The batched-matmul operand of the accel backend's finite-ADC
-        path: ``(k, bits*N, m) @ (k, m, cols*n_cells)`` produces every
-        per-(bit, group, column, cell) current in one BLAS call.
-        """
-        if self._cells_packed is None:
-            self._cells_packed = np.ascontiguousarray(
-                self.cells_grouped.reshape(
-                    self.n_groups, self.granularity,
-                    self.cols * self.n_cells))
-        return self._cells_packed
-
-    @property
-    def bit_weights(self) -> np.ndarray:
-        """Shift-and-add bit significances ``2**b``, shape
-        (input_bits,)."""
-        if self._bit_weights is None:
-            self._bit_weights = np.ldexp(
-                1.0, np.arange(self.input_bits)).astype(np.float64)
-        return self._bit_weights
-
-    def grouped_bit_planes(self, xq: np.ndarray) -> np.ndarray:
-        """All bit planes of a quantized batch, stacked and regrouped
-        for one batched matmul: (N, rows) int inputs ->
-        (n_groups, input_bits * N, granularity) float drive matrix.
-
-        Plane ``b`` of sample ``n`` lands at stacked row ``b * N + n``,
-        so the product against :attr:`cells_packed` reshapes back to
-        (n_groups, input_bits, N, cols * n_cells) with a plain
-        ``reshape``.
-        """
-        n = xq.shape[0]
-        shifts = np.arange(self.input_bits, dtype=xq.dtype)
-        planes = ((xq[None, :, :] >> shifts[:, None, None]) & 1)
-        padded = np.pad(planes.astype(np.float64),
-                        ((0, 0), (0, 0), (0, self.padded_rows - self.rows)))
-        grouped = padded.reshape(self.input_bits, n, self.n_groups,
-                                 self.granularity)
-        stacked = grouped.transpose(2, 0, 1, 3)
-        # reshape of the transposed view materialises the copy, giving
-        # the contiguous (k, bits*N, m) operand BLAS wants.
-        return stacked.reshape(self.n_groups, self.input_bits * n,
-                               self.granularity)
 
     def grouped_inputs(self, x: np.ndarray) -> np.ndarray:
         """Reshape a per-row batch (N, rows) into offset groups
@@ -274,20 +193,6 @@ class KernelBackend(abc.ABC):
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: Numeric-equivalence class folded into content-addressed cache
-    #: keys (e.g. the serve_program registry) in place of the backend
-    #: name. Backends that produce bitwise-identical results on the
-    #: deployed fast-float path share a tag, so switching between them
-    #: warm-starts the same programmed artifacts instead of
-    #: re-deploying. Defaults to the backend name (no sharing);
-    #: ``accel`` shares ``vectorized``'s tag.
-    cache_tag: str = "abstract"
-
-    def status(self) -> str:
-        """A one-line availability note for ``repro backends``; kernel
-        sets with optional offload tiers override this."""
-        return "available"
 
     # ------------------------------------------------------------------
     # convolution / pooling window kernels

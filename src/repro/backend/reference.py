@@ -25,7 +25,6 @@ class ReferenceBackend(KernelBackend):
     """Loop-based kernels, bit- and cycle-faithful to the paper."""
 
     name = "reference"
-    cache_tag = "reference"
 
     # ------------------------------------------------------------------
     # im2col / col2im / pooling windows

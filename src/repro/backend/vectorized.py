@@ -6,13 +6,17 @@ throughput:
 * im2col and pooling windows are built from one
   ``np.lib.stride_tricks.as_strided`` view copied in a single pass
   instead of a python loop over kernel positions;
-* the bit-serial crossbar VMM vectorizes the input-bit × offset-group ×
-  cell-significance loops of the reference engine into a handful of
-  batched einsums over the group-reshaped cell tensor — with an ideal
-  ADC the whole accumulation collapses to *one* contraction against the
-  cached sign-folded CRW (:attr:`EngineOperands.signed_crw_grouped`);
-* the digital offset add (Eq. 7) and the complement post-processing use
-  the precomputed per-group input-sum gain matrix
+* with an ideal ADC every term of the integer-domain output is linear
+  in the quantized inputs, so the analog contraction, the Eq. 7 offset
+  add, the complement post-processing and the ISAAC zero-point
+  correction fold into one cached matrix
+  (:attr:`EngineOperands.packed_ideal_weights`) — the whole crossbar
+  VMM is a single ``xq @ P`` GEMM;
+* with a finite ADC the bit-serial VMM vectorizes the input-bit ×
+  offset-group × cell-significance loops of the reference engine into a
+  handful of batched einsums over the group-reshaped cell tensor, and
+  the digital offset add and complement post-processing use the
+  precomputed per-group input-sum gain matrix
   (:attr:`EngineOperands.offset_gain`): one (N, k) @ (k, cols) matmul
   replaces the per-group broadcast/where pass.
 
@@ -55,7 +59,6 @@ class VectorizedBackend(KernelBackend):
     """Strided-view windows and batched bit-serial VMM kernels."""
 
     name = "vectorized"
-    cache_tag = "vectorized"
 
     # ------------------------------------------------------------------
     # im2col / col2im / pooling windows
@@ -115,36 +118,33 @@ class VectorizedBackend(KernelBackend):
         integer-domain outputs (N, cols).
 
         With an ideal ADC the bit-serial accumulation telescopes
-        exactly (``sum_b 2^b x_bit = x``), so the analog term is one
-        contraction of the group-reshaped inputs against the cached
-        sign-folded CRW. A finite-resolution ADC must convert each
+        exactly (``sum_b 2^b x_bit = x``) and the digital terms are
+        linear too, so the whole VMM is one GEMM against the cached
+        packed matrix. A finite-resolution ADC must convert each
         (input bit, offset group) current separately; that path loops
         over the ``input_bits`` bit planes only and contracts all
         groups, columns and cell significances in batched einsums.
         """
         xqf = xq.astype(np.float64)
-        gx = op.group_input_sums(xqf)                       # (N, k)
-
         if op.adc.ideal:
-            z = np.einsum("nkm,kmc->nc", op.grouped_inputs(xqf),
-                          op.signed_crw_grouped, optimize=True)
-        else:
-            n = xq.shape[0]
-            cells_g = op.cells_grouped                      # (k, m, c, s)
-            z_groups = np.zeros((n, op.n_groups, op.cols))
-            for bit in range(op.input_bits):
-                x_bit = ((xq >> bit) & 1).astype(np.float64)
-                drive = op.grouped_inputs(x_bit)            # (N, k, m)
-                currents = np.einsum("nkm,kmcs->nkcs", drive, cells_g,
-                                     optimize=True)
-                converted = op.adc.convert(currents)
-                z_groups += float(1 << bit) * np.einsum(
-                    "nkcs,s->nkc", converted, op.significance,
-                    optimize=True)
-            z = np.einsum("nkc,kc->nc", z_groups, op.sign, optimize=True)
+            return xqf @ op.packed_ideal_weights
+
+        n = xq.shape[0]
+        cells_g = op.cells_grouped                          # (k, m, c, s)
+        z_groups = np.zeros((n, op.n_groups, op.cols))
+        for bit in range(op.input_bits):
+            x_bit = ((xq >> bit) & 1).astype(np.float64)
+            drive = op.grouped_inputs(x_bit)                # (N, k, m)
+            currents = np.einsum("nkm,kmcs->nkcs", drive, cells_g,
+                                 optimize=True)
+            converted = op.adc.convert(currents)
+            z_groups += float(1 << bit) * np.einsum(
+                "nkcs,s->nkc", converted, op.significance,
+                optimize=True)
+        z = np.einsum("nkc,kc->nc", z_groups, op.sign, optimize=True)
 
         # Digital offset + complement folded into one matmul (Eq. 7),
         # then the ISAAC zero-point correction.
-        z = z + gx @ op.offset_gain
+        z = z + op.group_input_sums(xqf) @ op.offset_gain
         total_x = xqf.sum(axis=1, keepdims=True)
         return z - op.weight_zero_point * total_x

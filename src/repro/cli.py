@@ -59,7 +59,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro import __version__
 
@@ -90,7 +90,7 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default=None, metavar="NAME",
-                   help="compute backend for all kernels (vectorized, accel, "
+                   help="compute backend for all kernels (vectorized, "
                         "reference; see 'repro backends'); default: "
                         "$REPRO_BACKEND or vectorized. Every backend is "
                         "numerically interchangeable")
@@ -515,19 +515,18 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
     from repro.array import available_arrays, default_array_name, get_array
-    from repro.backend import (available_backends, default_backend_name,
-                               get_backend)
+    from repro.backend import available_backends, default_backend_name
     active = default_backend_name()
     _echo("compute backends (REPRO_BACKEND / --backend):")
     for name in available_backends():
         marker = "*" if name == active else " "
-        _echo(f"{marker} {name:<12} {get_backend(name).status()}")
+        _echo(f"{marker} {name}")
     active_array = default_array_name()
     _echo("array backends (REPRO_ARRAY / --array):")
     for name in available_arrays():
         marker = "*" if name == active_array else " "
         get_array(name)                      # import-checks the family
-        _echo(f"{marker} {name:<12} available")
+        _echo(f"{marker} {name}")
     return 0
 
 
@@ -556,6 +555,15 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_registered(parser: argparse.ArgumentParser, kind: str, name: str,
+                      registered: Tuple[str, ...]) -> None:
+    """Exit with a usage error listing ``registered`` when ``name`` is
+    not one of them."""
+    if name not in registered:
+        parser.error(f"unknown {kind} {name!r} "
+                     f"(registered: {', '.join(registered)})")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -572,24 +580,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
     sub.add_parser("backends",
-                   help="list compute/array backends with availability")
+                   help="list compute/array backends; * marks the active one")
 
     args = parser.parse_args(argv)
+    from repro.array import available_arrays, default_array_name
+    from repro.backend import available_backends, default_backend_name
+    # The flag wins over the environment; either way an unknown name (a
+    # typo, or a stale REPRO_BACKEND / REPRO_ARRAY) fails here, not
+    # inside the first forward pass.
     backend = getattr(args, "backend", None)
+    _check_registered(parser, "backend", backend or default_backend_name(),
+                      available_backends())
     if backend is not None:
-        from repro.backend import available_backends
-        if backend not in available_backends():
-            parser.error(f"unknown backend {backend!r} "
-                         f"(registered: {', '.join(available_backends())})")
         # Exported through the environment (not set_default_backend) so
         # --jobs worker processes inherit the same kernel set.
         os.environ["REPRO_BACKEND"] = backend
     array = getattr(args, "array", None)
+    _check_registered(parser, "array", array or default_array_name(),
+                      available_arrays())
     if array is not None:
-        from repro.array import available_arrays
-        if array not in available_arrays():
-            parser.error(f"unknown array {array!r} "
-                         f"(registered: {', '.join(available_arrays())})")
         # Same env-export pattern as --backend: --jobs workers resolve
         # the same HAL family when they build arrays themselves.
         os.environ["REPRO_ARRAY"] = array

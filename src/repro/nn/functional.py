@@ -6,9 +6,8 @@ from elementwise ops would be prohibitively slow in numpy. The window
 kernels themselves (im2col / col2im / pooling windows) are *not*
 implemented here: they dispatch to the active compute backend
 (:func:`repro.backend.get_backend`), so the same autograd graph runs
-unchanged on the loop-based ``reference`` kernels, the ``vectorized``
-ones, or the ``accel`` set (which shares the vectorized window kernels
-bitwise and accelerates the crossbar VMM).
+unchanged on the loop-based ``reference`` kernels or the default
+``vectorized`` ones.
 Everything here is validated against finite differences in ``tests/nn``.
 """
 

@@ -75,11 +75,9 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
     it), the device physics, the array family's declared capability
     dict and the scenario-stack parameters (the HAL inputs — two runs
     share programmed state only when the array would reproduce it),
-    all deployment config fields, the kernel backend's numeric
-    equivalence class (:attr:`KernelBackend.cache_tag` — ``accel`` and
-    ``vectorized`` produce bitwise-identical programmed state, so they
-    share artifacts and warm-start each other), and the seeds of both
-    the deployer's preparation stream and the programming cycle itself.
+    all deployment config fields, the active kernel backend's name,
+    and the seeds of both the deployer's preparation stream and the
+    programming cycle itself.
     """
     cfg = deployer.config
     components: Dict[str, Any] = dict(device_key_components(deployer.device))
@@ -101,7 +99,7 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
         bn_recalibrate=cfg.bn_recalibrate,
         saf_rates=cfg.saf_rates,
         pwt=dataclasses.asdict(cfg.pwt),
-        backend=get_backend().cache_tag,
+        backend=get_backend().name,
         deployer_seed=_seed_components(deployer_seed),
         program_seed=_seed_components(program_seed))
     return stage_key("serve_program", **components)

@@ -45,8 +45,8 @@ class TiledCrossbarEngine:
         """Split the (rows, cols, n_cells) cell array into tiles and
         build one :class:`CrossbarEngine` per tile; every tile engine
         dispatches to the same compute ``backend`` (``None`` follows
-        the process default — ``vectorized``, ``accel`` or
-        ``reference``), each caching its own packed operands."""
+        the process default — ``vectorized`` or ``reference``), each
+        caching its own packed operands."""
         from repro.core.offsets import OffsetPlan
 
         rows, cols, n_cells = cells.shape

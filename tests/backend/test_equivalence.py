@@ -1,12 +1,13 @@
-"""Every backend must reproduce the loop-based reference bit-for-bit.
+"""Every backend must reproduce the loop-based reference to float rounding.
 
 The ``reference`` backend is the original code moved verbatim and acts
-as the correctness oracle; the sweep below drives every registered
-backend (``vectorized``, ``accel``, …) over dense engines (ideal and
+as the correctness oracle; the sweep below drives every other
+registered backend (``vectorized``, …) over dense engines (ideal and
 finite-resolution ADC, complemented offset groups, partial last
 groups, boolean-masked rows), the conv/pooling window kernels (odd
-shapes, stride, padding) and the tiled multi-crossbar engine, and
-asserts float-rounding-level agreement everywhere.
+shapes, stride, padding) and the tiled multi-crossbar engine. Engine
+and conv outputs must agree within rtol/atol 1e-9, col2im within
+1e-12, and im2col and the pooling windows bitwise.
 """
 
 import numpy as np
@@ -98,6 +99,22 @@ class TestEngineVMM:
         np.testing.assert_allclose(alt.forward(x_all_masked),
                                    ref.forward(x_all_masked),
                                    rtol=1e-9, atol=1e-9)
+
+    def test_packed_ideal_weights_reproduce_engine_output(self):
+        """One GEMM against the cached packed matrix equals the full
+        ideal-ADC reference VMM (analog + offset + complement +
+        zero-point)."""
+        engine = build_engine(13, 5, 8, MLC2, seed=5, complemented=True)
+        op = engine._operands
+        xq = make_rng(6).integers(0, 256, size=(7, 13))
+        expected = get_backend("reference").engine_vmm(xq, op)
+        packed = xq.astype(np.float64) @ op.packed_ideal_weights
+        np.testing.assert_allclose(packed, expected, rtol=1e-9, atol=1e-9)
+
+    def test_packed_operands_are_cached(self):
+        engine = build_engine(16, 4, 8, SLC, seed=7)
+        op = engine._operands
+        assert op.packed_ideal_weights is op.packed_ideal_weights
 
 
 class TestWindowKernels:

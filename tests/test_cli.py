@@ -26,14 +26,14 @@ class TestParsing:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "compute backends" in out and "array backends" in out
-        for name in ("accel", "reference", "vectorized", "sim"):
+        for name in ("reference", "vectorized", "sim"):
             assert name in out
-        # The always-available default is marked active; accel reports
-        # its resolved offload tier.
-        assert "* vectorized" in out
-        assert "accel" in out and "available (" in out
+        from repro.array import default_array_name
+        from repro.backend import default_backend_name
+        assert f"* {default_backend_name()}\n" in out
+        assert f"* {default_array_name()}\n" in out
 
-    def test_backend_flag_accepts_accel(self, capsys, monkeypatch):
+    def test_backend_flag_exports_choice(self, capsys, monkeypatch):
         import os
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -41,13 +41,31 @@ class TestParsing:
             with pytest.raises(SystemExit):  # bad name still dies at parse
                 main(["deploy", "--backend", "warp-drive"])
             assert main(["experiment", "--name", "table2",
-                         "--backend", "accel"]) == 0
-            assert os.environ.get("REPRO_BACKEND") == "accel"
+                         "--backend", "reference"]) == 0
+            assert os.environ.get("REPRO_BACKEND") == "reference"
         finally:
             # main() exports --backend through the environment; undo it
             # so later tests see the ambient default again.
             os.environ.pop("REPRO_BACKEND", None)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("stale", ["accel", "bogus"])
+    @pytest.mark.parametrize("env_var,kind", [("REPRO_BACKEND", "backend"),
+                                              ("REPRO_ARRAY", "array")])
+    def test_unknown_env_name_fails_fast(self, capsys, monkeypatch, stale,
+                                         env_var, kind):
+        """A stale or mistyped env selection is a usage error listing
+        the registered names, before any command runs."""
+        monkeypatch.setenv(env_var, stale)
+        for argv in (["backends"], ["deploy", "--workload", "lenet"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unknown {kind} {stale!r}" in err
+            registered = ("reference, vectorized" if kind == "backend"
+                          else "sim")
+            assert f"registered: {registered}" in err
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

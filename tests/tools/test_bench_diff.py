@@ -10,14 +10,12 @@ from tools.bench_diff import (HISTORY_SCHEMA, SIDECAR_SCHEMA, compare,
 
 
 def write_sidecar(directory, name, elapsed_s, schema=SIDECAR_SCHEMA,
-                  backend=None, offload_tier=None):
+                  backend=None, **extra):
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"schema": schema, "name": name, "preset": "quick",
-               "elapsed_s": elapsed_s}
+               "elapsed_s": elapsed_s, **extra}
     if backend is not None:
         payload["backend"] = backend
-    if offload_tier is not None:
-        payload["offload_tier"] = offload_tier
     (directory / f"{name}.json").write_text(json.dumps(payload))
 
 
@@ -64,9 +62,10 @@ class TestCompare:
 
 
 class TestBackendGating:
-    def one_comparison(self, tmp_path, base_backend, cur_backend):
+    def one_comparison(self, tmp_path, base_backend, cur_backend,
+                       **base_extra):
         write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend=base_backend)
+                      backend=base_backend, **base_extra)
         write_sidecar(tmp_path / "cur", "fig5a", 50.0,
                       backend=cur_backend)
         comps = compare(load_sidecars(tmp_path / "base"),
@@ -82,6 +81,25 @@ class TestBackendGating:
     def test_same_backend_still_gates(self, tmp_path):
         c = self.one_comparison(tmp_path, "vectorized", "vectorized")
         assert not c.skipped_backend and c.regressed
+
+    def test_same_offload_tier_still_gates(self, tmp_path):
+        # Legacy sidecars may still carry an offload_tier field; it is
+        # ignored, so they parse and gate as before.
+        c = self.one_comparison(tmp_path, "vectorized", "vectorized",
+                                offload_tier="blas")
+        assert not c.skipped_backend and c.regressed
+
+    def test_untiered_sidecars_compare_with_tiered(self, tmp_path):
+        # A current run without the legacy field still gates against a
+        # baseline that has it, and the other way round.
+        write_sidecar(tmp_path / "base", "fig5a", 10.0,
+                      backend="vectorized")
+        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
+                      backend="vectorized", offload_tier="numba")
+        comps = compare(load_sidecars(tmp_path / "base"),
+                        load_sidecars(tmp_path / "cur"),
+                        max_slowdown=1.5, min_baseline_s=2.0)
+        assert not comps[0].skipped_backend and comps[0].regressed
 
     def test_untagged_sidecars_compare_with_anything(self, tmp_path):
         # Pre-upgrade baselines lack the backend field; they must keep
@@ -99,38 +117,6 @@ class TestBackendGating:
                       backend="reference")
         assert gate(tmp_path) == 0
         assert "backend-skip" in capsys.readouterr().out
-
-    def test_offload_tier_mismatch_never_regresses(self, tmp_path):
-        # A numba-accelerated baseline must not gate a BLAS-only run
-        # (different environments, not a regression).
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="accel", offload_tier="numba")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert comps[0].skipped_backend and not comps[0].regressed
-
-    def test_same_offload_tier_still_gates(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="accel", offload_tier="blas")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert not comps[0].skipped_backend and comps[0].regressed
-
-    def test_untiered_sidecars_compare_with_tiered(self, tmp_path):
-        # Pre-upgrade sidecars lack offload_tier; they keep gating.
-        write_sidecar(tmp_path / "base", "fig5a", 10.0, backend="accel")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert not comps[0].skipped_backend and comps[0].regressed
 
 
 class TestGate:
@@ -233,6 +219,8 @@ class TestTrendGate:
         rows = (history_rows([10.0, 10.0]) +
                 history_rows([40.0, 41.0], preset="full") +
                 history_rows([90.0, 91.0], backend="reference"))
+        # A legacy offload_tier field does not split a series.
+        rows[0]["offload_tier"] = "blas"
         verdicts = trend_verdicts(rows, window=4, step_ratio=1.02,
                                   max_slowdown=1.5, min_baseline_s=2.0)
         assert len(verdicts) == 3
