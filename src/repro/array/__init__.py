@@ -1,151 +1,15 @@
-"""Crossbar-array hardware-abstraction layer: one registry for all arrays.
+"""The simulated crossbar array behind every deployed weight matrix.
 
-Every programmed weight matrix in the deployer lives on an
-:class:`~repro.array.base.ArrayBackend` resolved here, so array physics
-(simulators, future board drivers) can be swapped without touching the
-paper-faithful pipeline:
-
-.. code-block:: python
-
-    from repro.array import get_array, use_array
-
-    factory = get_array()            # the active default family
-    array = factory(device, rows, cols)
-    with use_array("sim"):           # temporary override (tests)
-        ...
-
-Selection, in precedence order:
-
-1. an explicit ``name`` argument (or per-deploy ``array=`` config field);
-2. :func:`set_default_array` (the CLI ``--array`` flag);
-3. the ``REPRO_ARRAY`` environment variable;
-4. the built-in default, ``sim``.
-
-``sim`` is the original lognormal simulator
-(:class:`~repro.array.sim.SimArray`) and defines the bit-parity
-baseline: with it and an empty scenario stack, deploy/serve results are
-identical to the pre-HAL pipeline (asserted by ``tests/array/``).
-Third parties add array families with :func:`register_array`; a
-registered factory is called as ``factory(device, rows, cols)`` once
-per deployed layer. Composable non-ideality transforms live in
-:mod:`repro.array.scenarios` and wrap any backend.
+:class:`~repro.array.sim.SimArray` is the one array class: the deployer
+builds one per layer, programs it (``program``), reads it back
+(``read_back``) for PWT, and restores stored cell images on serve warm
+starts (``load_cells``). Composable non-ideality scenarios live in
+:mod:`repro.array.scenarios`; ``SimArray`` replays its stack after
+every programming cycle. With an empty stack, programming is exactly
+``device.program_cells`` (asserted by ``tests/array/``).
 """
 
-from __future__ import annotations
+from repro.array import scenarios
+from repro.array.sim import SimArray
 
-import os
-import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
-
-from repro.array.base import ArrayBackend
-
-#: An array family: builds one array region per deployed weight matrix.
-ArrayFactory = Callable[[Any, int, int], ArrayBackend]
-
-#: Environment variable naming the default array family.
-ENV_VAR = "REPRO_ARRAY"
-
-#: The array family used when nothing else selects one.
-BUILTIN_DEFAULT = "sim"
-
-_LOCK = threading.Lock()
-_FACTORIES: Dict[str, ArrayFactory] = {}
-_DEFAULT_OVERRIDE: Optional[str] = None
-
-
-def register_array(name: str, factory: ArrayFactory,
-                   replace: bool = False) -> None:
-    """Register an array-family ``factory`` under ``name``.
-
-    Unlike compute backends, array factories are *not* singleton-cached:
-    each call builds a fresh stateful array region (one per deployed
-    layer). Registering an existing name raises unless ``replace=True``.
-    """
-    with _LOCK:
-        if name in _FACTORIES and not replace:
-            raise ValueError(f"array family {name!r} is already registered")
-        _FACTORIES[name] = factory
-
-
-def available_arrays() -> Tuple[str, ...]:
-    """The registered array-family names, sorted."""
-    with _LOCK:
-        return tuple(sorted(_FACTORIES))
-
-
-def default_array_name() -> str:
-    """The name :func:`get_array` resolves when called without one.
-
-    Precedence: :func:`set_default_array` override, then the
-    ``REPRO_ARRAY`` environment variable, then ``sim``.
-    """
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    return os.environ.get(ENV_VAR, "").strip() or BUILTIN_DEFAULT
-
-
-def set_default_array(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default array family.
-
-    Validates eagerly so a typo fails at the CLI flag, not deep inside
-    the first deployment.
-    """
-    global _DEFAULT_OVERRIDE
-    if name is not None:
-        _resolve(name)                   # raises on unknown names
-    # Workers mirror the parent's TrialTask.array snapshot through this
-    # setter, so the rebind is deliberately per-process.
-    _DEFAULT_OVERRIDE = name  # fork-ok — worker-local sync, never read back
-
-
-def _resolve(name: str) -> ArrayFactory:
-    """Fetch the factory registered under ``name``."""
-    with _LOCK:
-        factory = _FACTORIES.get(name)
-        if factory is None:
-            known = ", ".join(sorted(_FACTORIES)) or "<none>"
-            raise ValueError(
-                f"unknown array family {name!r} — registered families: "
-                f"{known} (select via {ENV_VAR} or --array)")
-        return factory
-
-
-def get_array(name: Optional[str] = None) -> ArrayFactory:
-    """The array-family factory to build arrays with.
-
-    ``name=None`` resolves the current default (override, then
-    ``REPRO_ARRAY``, then ``sim``); unknown names raise ``ValueError``
-    listing what is registered. Call the result as
-    ``factory(device, rows, cols)`` to build one array region.
-    """
-    return _resolve(name if name is not None else default_array_name())
-
-
-@contextmanager
-def use_array(name: str) -> Iterator[ArrayFactory]:
-    """Temporarily make ``name`` the default array family (tests, sweeps)."""
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    factory = _resolve(name)
-    _DEFAULT_OVERRIDE = name
-    try:
-        yield factory
-    finally:
-        _DEFAULT_OVERRIDE = previous
-
-
-def _register_builtins() -> None:
-    """Register the array family that ships with the library."""
-    from repro.array.sim import SimArray
-
-    register_array(SimArray.name, SimArray, replace=True)
-
-
-_register_builtins()
-
-__all__ = [
-    "ENV_VAR", "BUILTIN_DEFAULT", "ArrayBackend", "ArrayFactory",
-    "available_arrays", "default_array_name", "get_array",
-    "register_array", "set_default_array", "use_array",
-]
+__all__ = ["SimArray", "scenarios"]

@@ -1,18 +1,18 @@
-"""Composable non-ideality scenarios over any :class:`ArrayBackend`.
+"""Composable non-ideality scenarios for :class:`repro.array.sim.SimArray`.
 
 A *scenario* is one stackable device/environment non-ideality — stuck-at
 fault maps (extending :mod:`repro.device.faults`), a temperature
 coefficient on every cell's conductance (arXiv 2105.05534),
 time-indexed conductance drift/retention, extra program-verify noise —
 expressed as a transform of the freshly-programmed cell image.
-:class:`ScenarioArray` wraps an array backend and replays the stack
-after every programming cycle:
+:class:`~repro.array.sim.SimArray` replays its stack after every
+programming cycle:
 
 .. code-block:: python
 
     scenarios = parse_scenario_spec(
         "stuck_at:sa0_rate=0.05,sa1_rate=0.01;drift:t_seconds=1e4")
-    array = ScenarioArray(SimArray(device, rows, cols), scenarios, seed)
+    array = SimArray(device, rows, cols, scenarios, seed)
 
 Scenario objects are frozen parameter records; the *persistent* chip
 state they imply (which cells are stuck, each cell's temperature
@@ -21,14 +21,13 @@ region from a dedicated seed stream and reused across programming
 cycles — the same chip-persistence discipline as
 :class:`repro.device.faults.FaultyDeviceModel`. Per-cycle noise
 (:class:`ProgramNoiseScenario`) instead draws from the programming rng
-*after* the wrapped backend consumed its draws, so an empty stack
-leaves the draw sequence untouched (the bit-parity guarantee).
+*after* the device model consumed its draws, so an empty stack leaves
+the draw sequence untouched (the bit-parity guarantee).
 
-Every scenario folds its parameters into
-:meth:`ScenarioArray.key_components`, which the serve registry's
-``serve_program`` content-addressed keys consume — programmed state is
-shared exactly between runs with identical physics *and* identical
-scenario stacks.
+:func:`scenario_key_components` folds every scenario's parameters into
+the serve registry's ``serve_program`` content-addressed keys —
+programmed state is shared exactly between runs with identical physics
+*and* identical scenario stacks.
 """
 
 from __future__ import annotations
@@ -36,23 +35,19 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import (Any, ClassVar, Dict, List, Optional, Sequence, Tuple,
+from typing import (Any, ClassVar, Dict, List, Mapping, Sequence, Tuple,
                     Type, Union)
 
 import numpy as np
 
-from repro.array.base import ArrayBackend
 from repro.device.cell import CellType
 from repro.device.faults import FaultMap, sample_fault_map
 from repro.device.variation import sample_temperature_coefficients
-from repro.obs import metrics as obs_metrics
-from repro.utils.rng import RngLike, SeedLike, make_rng, spawn_seeds
 
 __all__ = [
     "Scenario", "StuckAtScenario", "TempCoefficientScenario",
-    "DriftScenario", "ProgramNoiseScenario", "ScenarioArray",
-    "available_scenarios", "register_scenario", "parse_scenario_spec",
-    "scenario_key_components",
+    "DriftScenario", "ProgramNoiseScenario", "available_scenarios",
+    "parse_scenario_spec", "scenario_key_components",
 ]
 
 #: Accepted scenario-spec inputs: the declarative string form, a
@@ -72,7 +67,7 @@ class Scenario(abc.ABC):
     programming cycle's cell image.
     """
 
-    #: Registry/spec name of the scenario (e.g. ``"stuck_at"``).
+    #: Spec name of the scenario (e.g. ``"stuck_at"``).
     name: ClassVar[str] = "abstract"
 
     def key_components(self) -> Dict[str, Any]:
@@ -95,8 +90,9 @@ class Scenario(abc.ABC):
 
         ``cells`` is (rows, cols, n_cells); ``state`` is this region's
         :meth:`init_state` result; ``rng`` is the programming stream
-        (already advanced past the backend's own draws) for per-cycle
-        noise. Must return a new array — never mutate ``cells``.
+        (already advanced past the device model's own draws) for
+        per-cycle noise. Must return a new array — never mutate
+        ``cells``.
         """
 
 
@@ -213,37 +209,28 @@ class ProgramNoiseScenario(Scenario):
 
 
 # ----------------------------------------------------------------------
-# scenario registry + declarative spec parsing
+# the built-in scenario table + declarative spec parsing
 # ----------------------------------------------------------------------
-_SCENARIO_TYPES: Dict[str, Type[Scenario]] = {}
-
-
-def register_scenario(scenario_type: Type[Scenario],
-                      replace: bool = False) -> None:
-    """Register a :class:`Scenario` subclass under its ``name``.
-
-    Registered names become available to :func:`parse_scenario_spec`
-    (the ``--scenarios`` flag). Re-registering raises unless
-    ``replace=True``.
-    """
-    name = scenario_type.name
-    if name in _SCENARIO_TYPES and not replace:
-        raise ValueError(f"scenario {name!r} is already registered")
-    _SCENARIO_TYPES[name] = scenario_type
+#: The scenarios :func:`parse_scenario_spec` (the ``--scenarios`` flag)
+#: accepts, by spec name.
+_SCENARIO_TYPES: Mapping[str, Type[Scenario]] = {
+    scenario_type.name: scenario_type
+    for scenario_type in (StuckAtScenario, TempCoefficientScenario,
+                          DriftScenario, ProgramNoiseScenario)}
 
 
 def available_scenarios() -> Tuple[str, ...]:
-    """The registered scenario names, sorted."""
+    """The built-in scenario names, sorted."""
     return tuple(sorted(_SCENARIO_TYPES))
 
 
 def _build_scenario(name: str, params: Dict[str, Any]) -> Scenario:
-    """Instantiate registered scenario ``name`` with ``params``."""
+    """Instantiate built-in scenario ``name`` with ``params``."""
     scenario_type = _SCENARIO_TYPES.get(name)
     if scenario_type is None:
-        known = ", ".join(available_scenarios()) or "<none>"
+        known = ", ".join(available_scenarios())
         raise ValueError(
-            f"unknown scenario {name!r} — registered scenarios: {known}")
+            f"unknown scenario {name!r} — available scenarios: {known}")
     valid = {f.name for f in dataclasses.fields(scenario_type)}
     unknown = sorted(set(params) - valid)
     if unknown:
@@ -314,131 +301,5 @@ def parse_scenario_spec(spec: ScenarioSpec) -> Tuple[Scenario, ...]:
 def scenario_key_components(
         scenarios: Sequence[Scenario]) -> Tuple[Dict[str, Any], ...]:
     """The stack's cache-key view: one parameter dict per scenario,
-    in application order. Empty stack -> empty tuple (so keys of
-    scenario-free runs are built from the same information as before
-    the scenario engine existed)."""
+    in application order. Empty stack -> empty tuple."""
     return tuple(sc.key_components() for sc in scenarios)
-
-
-# ----------------------------------------------------------------------
-# the wrapping backend
-# ----------------------------------------------------------------------
-class ScenarioArray(ArrayBackend):
-    """An :class:`ArrayBackend` with a scenario stack applied on program.
-
-    Wraps ``inner``: every :meth:`program` first programs the inner
-    array, then replays the scenario transforms over the fresh cell
-    image and stores the result back via ``inner.load_cells`` — so
-    read-back, VMM and PWT's compensation all observe the perturbed
-    chip, exactly as on real hardware. ``seed`` feeds one dedicated
-    persistent-state stream per scenario (chip state is fixed across
-    programming cycles and independent of the per-trial rng).
-    """
-
-    name = "scenario"
-
-    def __init__(self, inner: ArrayBackend, scenarios: Sequence[Scenario],
-                 seed: SeedLike):
-        """Wrap ``inner`` with ``scenarios`` (applied in order)."""
-        self.inner = inner
-        self.scenarios: Tuple[Scenario, ...] = tuple(scenarios)
-        self._state_seeds = spawn_seeds(seed, len(self.scenarios))
-        self._states: List[Any] = [None] * len(self.scenarios)
-        self._initialized = [False] * len(self.scenarios)
-
-    # ------------------------------------------------------------------
-    # geometry (delegated)
-    # ------------------------------------------------------------------
-    @property
-    def rows(self) -> int:
-        """Wordline count (delegates to the wrapped array)."""
-        return self.inner.rows
-
-    @property
-    def cols(self) -> int:
-        """Weight-column count (delegates to the wrapped array)."""
-        return self.inner.cols
-
-    @property
-    def cells_per_weight(self) -> int:
-        """Physical cells per weight (delegates to the wrapped array)."""
-        return self.inner.cells_per_weight
-
-    @property
-    def cell(self) -> CellType:
-        """Cell technology (delegates to the wrapped array)."""
-        return self.inner.cell
-
-    # ------------------------------------------------------------------
-    # programming / read-back
-    # ------------------------------------------------------------------
-    def _state_for(self, index: int, shape: Tuple[int, ...]) -> Any:
-        """The persistent state of scenario ``index`` for this region.
-
-        Sampled lazily on the first programming cycle from the
-        scenario's dedicated stream — deterministic in the wrapper's
-        seed, independent of trial order.
-        """
-        if not self._initialized[index]:
-            rng = make_rng(self._state_seeds[index])
-            self._states[index] = self.scenarios[index].init_state(
-                shape, self.cell, rng)
-            self._initialized[index] = True
-        return self._states[index]
-
-    def program(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Program the inner array, then replay the scenario stack.
-
-        Returns (and installs) the perturbed cell image, shape
-        (rows, cols, cells_per_weight).
-        """
-        rng = make_rng(rng)
-        cells = self.inner.program(values, rng)
-        for i, scenario in enumerate(self.scenarios):
-            state = self._state_for(i, cells.shape)
-            cells = scenario.apply(cells, self.cell, state, rng)
-            obs_metrics.inc(f"scenario.{scenario.name}.applied")
-        if cells.shape != (self.rows, self.cols, self.cells_per_weight):
-            raise ValueError(
-                "scenario transforms must preserve the cell-image shape")
-        self.inner.load_cells(cells)
-        return cells
-
-    def load_cells(self, cells: np.ndarray) -> None:
-        """Overwrite the inner array's cell image (no scenario replay)."""
-        self.inner.load_cells(cells)
-
-    def read_back(self) -> np.ndarray:
-        """The current (scenario-perturbed) cell conductances."""
-        return self.inner.read_back()
-
-    # ------------------------------------------------------------------
-    # analog compute (delegated — state already holds the perturbation)
-    # ------------------------------------------------------------------
-    def vmm(self, x: np.ndarray,
-            active_rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Bitline currents over the perturbed state (delegated)."""
-        return self.inner.vmm(x, active_rows)
-
-    def vmm_grouped(self, x: np.ndarray, group_rows: int) -> np.ndarray:
-        """Per-group partial currents over the perturbed state (delegated)."""
-        return self.inner.vmm_grouped(x, group_rows)
-
-    # ------------------------------------------------------------------
-    # identity / cache keying
-    # ------------------------------------------------------------------
-    def key_components(self) -> Dict[str, Any]:
-        """Inner components plus the full scenario-stack parameters."""
-        components = dict(self.inner.key_components())
-        components["scenarios"] = scenario_key_components(self.scenarios)
-        return components
-
-
-def _register_builtins() -> None:
-    """Register the scenario types that ship with the library."""
-    for scenario_type in (StuckAtScenario, TempCoefficientScenario,
-                          DriftScenario, ProgramNoiseScenario):
-        register_scenario(scenario_type, replace=True)
-
-
-_register_builtins()

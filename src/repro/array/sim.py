@@ -1,34 +1,51 @@
-"""The lognormal crossbar-array simulator behind the HAL.
+"""The simulated RRAM array the deployer programs and reads back.
 
-:class:`SimArray` is the original pipeline's device physics — a
-:class:`repro.device.lut.DeviceModel` (lognormal DDV/CCV, finite ON/OFF
-ratio, bit-sliced cells) optionally wrapped in
-:class:`repro.device.faults.FaultyDeviceModel` — re-packaged as an
-:class:`repro.array.base.ArrayBackend`. Programming delegates to
-``device.program_cells`` with the caller's rng, so the random draw
-sequence is *identical* to calling the device model directly: the
-bit-parity guarantee of the refactor holds by construction, not by
-luck (verified in ``tests/array/test_equivalence.py``).
+:class:`SimArray` is one array region holding the cells of a single
+weight matrix: ``cells_per_weight`` physical columns per weight column,
+one wordline per matrix row. It does exactly what the paper's flow asks
+of a chip — one write and one read:
 
-Analog reads route through a lazily-built
-:class:`repro.xbar.crossbar.Crossbar` whose bitlines are the flattened
-physical cell columns (``cols * cells_per_weight`` of them, cell-major
-within each weight).
+* :meth:`SimArray.program` — write integer weight values (one
+  programming cycle; the cycle-to-cycle noise is redrawn);
+* :meth:`SimArray.read_back` — the current per-cell conductances
+  (what PWT's post-writing read-back consumes);
+* :meth:`SimArray.load_cells` — install a stored cell image (warm
+  starts from the serve registry).
+
+Device physics come from a :class:`repro.device.lut.DeviceModel`
+(lognormal DDV/CCV, finite ON/OFF ratio, bit-sliced cells), optionally
+wrapped in :class:`repro.device.faults.FaultyDeviceModel`. A stack of
+:mod:`repro.array.scenarios` transforms is replayed over every freshly
+programmed cell image:
+
+.. code-block:: python
+
+    scenarios = parse_scenario_spec(
+        "stuck_at:sa0_rate=0.05,sa1_rate=0.01;drift:t_seconds=1e4")
+    array = SimArray(device, rows, cols, scenarios, seed)
+
+Seed discipline: programming calls ``device.program_cells(values, rng)``
+first, so an empty stack consumes exactly the draws of a direct device
+call (verified in ``tests/array/test_equivalence.py``). Each scenario's
+persistent chip state (stuck cells, temperature coefficients, drift
+exponents) is sampled once, lazily, from its own child of ``seed``
+(:func:`repro.utils.rng.spawn_seeds`) and reused across programming
+cycles; per-cycle scenario noise draws from the programming rng after
+the device's own draws.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.array.base import ArrayBackend
+from repro.array.scenarios import Scenario
 from repro.device.cell import CellType
 from repro.device.faults import FaultyDeviceModel
-from repro.device.lut import DeviceModel, device_key_components
+from repro.device.lut import DeviceModel
 from repro.obs import metrics as obs_metrics
-from repro.utils.rng import RngLike
-from repro.xbar.crossbar import Crossbar
+from repro.utils.rng import RngLike, SeedLike, make_rng, spawn_seeds
 
 __all__ = ["SimArray"]
 
@@ -37,49 +54,38 @@ __all__ = ["SimArray"]
 SimDevice = Union[DeviceModel, FaultyDeviceModel]
 
 
-def _base_device(device: SimDevice) -> DeviceModel:
-    """The underlying :class:`DeviceModel` (unwraps a fault wrapper)."""
-    return device.device if isinstance(device, FaultyDeviceModel) else device
-
-
-class SimArray(ArrayBackend):
-    """Simulated RRAM array: lognormal variation, optional stuck-at faults.
+class SimArray:
+    """Simulated RRAM array: lognormal variation plus a scenario stack.
 
     One instance is one array region of ``rows`` x ``cols`` weights
-    (``rows`` x ``cols * cells_per_weight`` physical cells). The chip's
-    persistent state (the fault map of a :class:`FaultyDeviceModel`)
-    lives in the wrapped device and therefore survives re-programming,
-    exactly as on silicon.
+    (``rows`` x ``cols * cells_per_weight`` physical cells). An array is
+    created unprogrammed; :meth:`program` (or :meth:`load_cells`)
+    installs a cell image of shape ``(rows, cols, cells_per_weight)``
+    which :meth:`read_back` then returns. Chip-persistent state — the
+    fault map of a :class:`FaultyDeviceModel` and every scenario's
+    sampled state — survives re-programming, exactly as on silicon.
     """
 
-    name = "sim"
-
-    def __init__(self, device: SimDevice, rows: int, cols: int):
+    def __init__(self, device: SimDevice, rows: int, cols: int,
+                 scenarios: Sequence[Scenario] = (),
+                 seed: Optional[SeedLike] = None):
         """Build an unprogrammed array over ``device`` physics.
 
         ``rows`` / ``cols`` are the weight-matrix dimensions; the cell
         image programmed later has shape (rows, cols, cells_per_weight).
+        ``scenarios`` are applied in order after every programming
+        cycle; ``seed`` feeds their persistent-state streams.
         """
         if rows < 1 or cols < 1:
             raise ValueError("array dimensions must be positive")
         self.device = device
-        self._rows = int(rows)
-        self._cols = int(cols)
+        self.rows = int(rows)
+        self.cols = int(cols)
+        self.scenarios: Tuple[Scenario, ...] = tuple(scenarios)
+        self._state_seeds = spawn_seeds(seed, len(self.scenarios))
+        self._states: List[Any] = [None] * len(self.scenarios)
+        self._initialized = [False] * len(self.scenarios)
         self._cells: Optional[np.ndarray] = None
-        self._xbar: Optional[Crossbar] = None
-
-    # ------------------------------------------------------------------
-    # geometry
-    # ------------------------------------------------------------------
-    @property
-    def rows(self) -> int:
-        """Wordline count (weight-matrix rows)."""
-        return self._rows
-
-    @property
-    def cols(self) -> int:
-        """Weight-column count (weight-matrix cols)."""
-        return self._cols
 
     @property
     def cells_per_weight(self) -> int:
@@ -89,40 +95,55 @@ class SimArray(ArrayBackend):
     @property
     def cell(self) -> CellType:
         """The cell technology of the simulated devices."""
-        return _base_device(self.device).cell
+        device = self.device
+        if isinstance(device, FaultyDeviceModel):
+            device = device.device
+        return device.cell
 
-    # ------------------------------------------------------------------
-    # programming / read-back
-    # ------------------------------------------------------------------
+    def _state_for(self, index: int, shape: Tuple[int, ...]) -> Any:
+        """The persistent state of scenario ``index`` for this region.
+
+        Sampled on the first programming cycle from the scenario's
+        dedicated stream — deterministic in ``seed``, independent of
+        trial order.
+        """
+        if not self._initialized[index]:
+            rng = make_rng(self._state_seeds[index])
+            self._states[index] = self.scenarios[index].init_state(
+                shape, self.cell, rng)
+            self._initialized[index] = True
+        return self._states[index]
+
     def program(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Program one cycle; returns cells (rows, cols, cells_per_weight).
 
-        Delegates straight to ``device.program_cells(values, rng)`` —
-        the exact call (and rng draw sequence) the pre-HAL deployer
-        made, so results are bit-identical to it.
+        Calls ``device.program_cells(values, rng)``, replays the
+        scenario stack over the result and installs it as the array's
+        state.
         """
         values = np.asarray(values)
-        if values.shape != (self._rows, self._cols):
+        if values.shape != (self.rows, self.cols):
             raise ValueError(
-                f"expected values of shape {(self._rows, self._cols)}, "
+                f"expected values of shape {(self.rows, self.cols)}, "
                 f"got {values.shape}")
+        rng = make_rng(rng)
         cells = self.device.program_cells(values, rng)
         obs_metrics.inc("array.program_cycles")
-        self._set_cells(cells)
-        return cells
+        for i, scenario in enumerate(self.scenarios):
+            state = self._state_for(i, cells.shape)
+            cells = scenario.apply(cells, self.cell, state, rng)
+            obs_metrics.inc(f"scenario.{scenario.name}.applied")
+        self.load_cells(cells)
+        return self.read_back()
 
     def load_cells(self, cells: np.ndarray) -> None:
-        """Overwrite the cell image, shape (rows, cols, cells_per_weight)."""
-        self._set_cells(np.asarray(cells, dtype=np.float64))
-
-    def _set_cells(self, cells: np.ndarray) -> None:
-        """Install ``cells`` as current state; invalidates the VMM xbar."""
-        expected = (self._rows, self._cols, self.cells_per_weight)
+        """Install the cell image, shape (rows, cols, cells_per_weight)."""
+        cells = np.asarray(cells, dtype=np.float64)
+        expected = (self.rows, self.cols, self.cells_per_weight)
         if cells.shape != expected:
             raise ValueError(
                 f"expected cells of shape {expected}, got {cells.shape}")
         self._cells = cells
-        self._xbar = None               # rebuilt lazily on the next vmm
 
     def read_back(self) -> np.ndarray:
         """The current cell conductances (rows, cols, cells_per_weight)."""
@@ -130,40 +151,6 @@ class SimArray(ArrayBackend):
             raise RuntimeError("array has not been programmed")
         return self._cells
 
-    # ------------------------------------------------------------------
-    # analog compute
-    # ------------------------------------------------------------------
-    def _crossbar(self) -> Crossbar:
-        """The physical-bitline view: (rows, cols * n_cells) crossbar."""
-        if self._xbar is None:
-            cells = self.read_back()
-            xbar = Crossbar(self._rows, self._cols * self.cells_per_weight)
-            xbar.write(cells.reshape(self._rows, -1))
-            self._xbar = xbar
-        return self._xbar
-
-    def vmm(self, x: np.ndarray,
-            active_rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Bitline currents: x (..., rows) -> (..., cols * n_cells)."""
-        return self._crossbar().vmm(x, active_rows)
-
-    def vmm_grouped(self, x: np.ndarray, group_rows: int) -> np.ndarray:
-        """Per-group partials: x (..., rows) -> (..., n_groups, cols * n_cells)."""
-        return self._crossbar().vmm_grouped(x, group_rows)
-
-    # ------------------------------------------------------------------
-    # identity / cache keying
-    # ------------------------------------------------------------------
-    def key_components(self) -> Dict[str, Any]:
-        """Backend name + every device parameter that shapes the physics.
-
-        Flat scalar dict (nested under ``array_components`` in serve
-        keys); fault rates appear only when a fault wrapper is present,
-        keeping pre-HAL keys' information content unchanged.
-        """
-        components: Dict[str, Any] = {"array": self.name}
-        components.update(device_key_components(_base_device(self.device)))
-        if isinstance(self.device, FaultyDeviceModel):
-            components["sa0_rate"] = self.device.sa0_rate
-            components["sa1_rate"] = self.device.sa1_rate
-        return components
+    def __repr__(self) -> str:
+        return (f"SimArray(rows={self.rows}, cols={self.cols}, "
+                f"cells_per_weight={self.cells_per_weight})")

@@ -37,10 +37,12 @@ STAGE_VERSIONS: Mapping[str, int] = {
     "calibrate": 1,     # per-layer input activation peaks (core.pipeline)
     "gradients": 1,     # per-weight gradient RMS estimates (core.pipeline)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 4,  # programmed deployments (serve.registry);
+    "serve_program": 5,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v4: key folds the backend name (tag alias gone)
+                         # v5: array family name dropped, scenarios keyed
+                         # from the deploy config
 
 }
 

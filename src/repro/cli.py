@@ -29,12 +29,11 @@ workers follow the same policy.
 programming-cycle trials across worker processes (``0`` = one per
 core); results are bit-identical to a serial run at the same seed.
 
-``--array``/``--scenarios`` (on ``deploy``/``serve``/``experiment``)
-select the crossbar hardware-abstraction family (``repro.array``) and
-stack composable non-idealities on top of it (stuck-at faults,
-temperature coefficients, conductance drift, extra program noise).
-The default ``sim`` array with no scenarios is bit-identical to the
-pre-HAL pipeline.
+``--scenarios`` (on ``deploy``/``serve``/``experiment``) stacks
+composable non-idealities on the simulated crossbar arrays
+(``repro.array``): stuck-at faults, temperature coefficients,
+conductance drift, extra program noise. With no scenarios, programming
+is exactly the device model's.
 
 ``serve`` starts a long-lived inference server over a programmed
 deployment (see ``repro.serve``): requests are micro-batched through
@@ -96,11 +95,7 @@ def _add_backend_arg(p: argparse.ArgumentParser) -> None:
                         "numerically interchangeable")
 
 
-def _add_array_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--array", default=None, metavar="NAME",
-                   help="crossbar array family (e.g. sim); default: "
-                        "$REPRO_ARRAY or sim. The default family with no "
-                        "scenarios is bit-identical to the classic path")
+def _add_scenarios_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenarios", default=None, metavar="SPEC",
                    help="non-ideality scenario stack, e.g. "
                         "'stuck_at:sa0_rate=0.05,sa1_rate=0.01;"
@@ -148,7 +143,7 @@ def _add_deploy(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
                    default=None, help="stuck-at fault rates")
     _add_jobs_arg(p)
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -190,7 +185,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="default per-request deadline; expired requests "
                         "get a 504-style error (default: none)")
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -204,7 +199,7 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--preset", default="quick", choices=["quick", "full"])
     p.add_argument("--trials", type=int, default=2)
     _add_jobs_arg(p)
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -341,7 +336,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         args.method, sigma=args.sigma, granularity=args.granularity,
         cell=cell, pwt=_default_pwt(args.preset), bn_recalibrate=True,
         saf_rates=tuple(args.saf) if args.saf else None,
-        array=args.array, scenarios=args.scenarios)
+        scenarios=args.scenarios)
     deployer = Deployer(wl.model, wl.train, config, rng=args.seed + 10)
     ideal = ideal_accuracy(deployer, wl.test)
     result = evaluate_deployment(deployer, wl.test, n_trials=args.trials,
@@ -376,7 +371,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sigma=args.sigma, granularity=args.granularity,
         cell_bits=args.cell_bits, seed=args.seed,
         saf_rates=tuple(args.saf) if args.saf else None,
-        array=args.array, scenarios=args.scenarios,
+        scenarios=args.scenarios,
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit, deadline_ms=args.deadline_ms)
     service = InferenceService(config)
@@ -437,7 +432,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.name == "scenarios":
         for s_row in ex.run_scenario_matrix(
                 preset=args.preset, n_trials=args.trials, jobs=args.jobs,
-                array=args.array, scenarios=args.scenarios):
+                scenarios=args.scenarios):
             _echo(f"{s_row.method:<10} scenario={s_row.scenario:<12} "
                   f"acc {s_row.mean_accuracy:.2%} "
                   f"(drop {s_row.accuracy_drop:+.2%} vs clean)")
@@ -514,18 +509,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.array import available_arrays, default_array_name, get_array
     from repro.backend import available_backends, default_backend_name
     active = default_backend_name()
     _echo("compute backends (REPRO_BACKEND / --backend):")
     for name in available_backends():
         marker = "*" if name == active else " "
-        _echo(f"{marker} {name}")
-    active_array = default_array_name()
-    _echo("array backends (REPRO_ARRAY / --array):")
-    for name in available_arrays():
-        marker = "*" if name == active_array else " "
-        get_array(name)                      # import-checks the family
         _echo(f"{marker} {name}")
     return 0
 
@@ -546,10 +534,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     from repro.backend import available_backends, default_backend_name
     _echo(f"backends:      {', '.join(available_backends())} "
           f"(active: {default_backend_name()}; REPRO_BACKEND / --backend)")
-    from repro.array import available_arrays, default_array_name
     from repro.array.scenarios import available_scenarios
-    _echo(f"arrays:        {', '.join(available_arrays())} "
-          f"(active: {default_array_name()}; REPRO_ARRAY / --array)")
     _echo(f"scenarios:     {', '.join(available_scenarios())} "
           "(--scenarios 'name:param=value;…' on deploy/serve)")
     return 0
@@ -580,14 +565,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
     sub.add_parser("backends",
-                   help="list compute/array backends; * marks the active one")
+                   help="list compute backends; * marks the active one")
 
     args = parser.parse_args(argv)
-    from repro.array import available_arrays, default_array_name
     from repro.backend import available_backends, default_backend_name
     # The flag wins over the environment; either way an unknown name (a
-    # typo, or a stale REPRO_BACKEND / REPRO_ARRAY) fails here, not
-    # inside the first forward pass.
+    # typo, or a stale REPRO_BACKEND) fails here, not inside the first
+    # forward pass.
     backend = getattr(args, "backend", None)
     _check_registered(parser, "backend", backend or default_backend_name(),
                       available_backends())
@@ -595,13 +579,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Exported through the environment (not set_default_backend) so
         # --jobs worker processes inherit the same kernel set.
         os.environ["REPRO_BACKEND"] = backend
-    array = getattr(args, "array", None)
-    _check_registered(parser, "array", array or default_array_name(),
-                      available_arrays())
-    if array is not None:
-        # Same env-export pattern as --backend: --jobs workers resolve
-        # the same HAL family when they build arrays themselves.
-        os.environ["REPRO_ARRAY"] = array
     scenarios = getattr(args, "scenarios", None)
     if scenarios is not None:
         from repro.array.scenarios import parse_scenario_spec

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.array.base import ArrayBackend
 from repro.core.offsets import OffsetPlan
 from repro.device.cell import CellType
 from repro.nn import functional as F
@@ -54,23 +53,15 @@ def ste_quantize(x: Tensor, quantizer: InputQuantizer) -> Tensor:
 class _CrossbarBase(Module):
     """Shared state and effective-weight construction for crossbar layers."""
 
-    def __init__(self, cells: Optional[np.ndarray], plan: OffsetPlan,
+    def __init__(self, cells: np.ndarray, plan: OffsetPlan,
                  registers: np.ndarray, complement: np.ndarray,
                  cell: CellType, weight_bits: int, weight_scale: float,
                  weight_zero_point: int,
                  input_quantizer: Optional[InputQuantizer] = None,
                  bias: Optional[np.ndarray] = None,
                  ntw: Optional[np.ndarray] = None,
-                 grad_weights: Optional[np.ndarray] = None,
-                 array: Optional[ArrayBackend] = None):
+                 grad_weights: Optional[np.ndarray] = None):
         super().__init__()
-        if cells is None:
-            if array is None:
-                raise ValueError("provide programmed cells or an array")
-            # HAL construction path: snapshot the programmed state from
-            # the array's read-back (rows, cols, n_cells).
-            cells = array.read_back()
-        self.array = array
         rows, cols, n_cells = cells.shape
         if (rows, cols) != (plan.rows, plan.cols):
             raise ValueError("cells shape does not match the offset plan")
@@ -181,7 +172,7 @@ class CrossbarConv2d(_CrossbarBase):
     effective matrix so gradients flow to the offsets.
     """
 
-    def __init__(self, cells: Optional[np.ndarray], plan: OffsetPlan,
+    def __init__(self, cells: np.ndarray, plan: OffsetPlan,
                  registers: np.ndarray, complement: np.ndarray,
                  cell: CellType, weight_bits: int, weight_scale: float,
                  weight_zero_point: int,
@@ -190,17 +181,15 @@ class CrossbarConv2d(_CrossbarBase):
                  input_quantizer: Optional[InputQuantizer] = None,
                  bias: Optional[np.ndarray] = None,
                  ntw: Optional[np.ndarray] = None,
-                 grad_weights: Optional[np.ndarray] = None,
-                 array: Optional[ArrayBackend] = None):
+                 grad_weights: Optional[np.ndarray] = None):
         """Build the layer from its (rows, cols, n_cells) programmed state.
 
         ``kernel_shape`` is the original conv kernel (F, C, kh, kw);
         the stored matrix layout is rows = C*kh*kw, cols = F.
-        ``cells=None`` reads the state back from ``array`` instead.
         """
         super().__init__(cells, plan, registers, complement, cell,
                          weight_bits, weight_scale, weight_zero_point,
-                         input_quantizer, bias, ntw, grad_weights, array)
+                         input_quantizer, bias, ntw, grad_weights)
         f, c, kh, kw = kernel_shape
         if plan.rows != c * kh * kw or plan.cols != f:
             raise ValueError("kernel shape inconsistent with matrix layout")

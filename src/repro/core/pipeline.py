@@ -25,17 +25,15 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.eval.accuracy import TrialResult
 
-from repro.array import ArrayBackend, default_array_name, get_array
-from repro.array.scenarios import (ScenarioArray, ScenarioSpec,
-                                   parse_scenario_spec,
-                                   scenario_key_components)
+from repro.array.scenarios import ScenarioSpec, parse_scenario_spec
+from repro.array.sim import SimArray
 from repro.backend import default_backend_name
 from repro.cache import (CacheStore, active_store, digest_array,
                          digest_arrays, stage_key)
@@ -46,6 +44,7 @@ from repro.core.pwt import PWTConfig, run_pwt
 from repro.core.vawo import VAWOResult, plain_assignment, run_vawo
 from repro.data.loaders import Dataset, iterate_batches
 from repro.device.cell import SLC, CellType
+from repro.device.faults import FaultyDeviceModel
 from repro.device.lut import (DeviceLUT, DeviceModel, build_lut_analytic,
                               build_lut_monte_carlo, device_key_components,
                               lut_from_arrays, lut_to_arrays)
@@ -90,13 +89,11 @@ class DeployConfig:
     # their OFF/ON conductance. Faults are invisible to VAWO (a-priori)
     # but visible to PWT's read-back — matching real deployments.
     saf_rates: Optional[Tuple[float, float]] = None
-    # Which registered array family programs the crossbars (None =
-    # process default: --array / REPRO_ARRAY / "sim") and which
-    # non-ideality scenario stack wraps it — a spec string
+    # The non-ideality scenario stack every array replays after
+    # programming — a spec string
     # ("stuck_at:sa0_rate=0.05;drift:t_seconds=1e4"), a parsed
-    # Scenario sequence, or per-scenario dicts. Empty = bare array,
-    # which is bit-identical to the pre-HAL pipeline.
-    array: Optional[str] = None
+    # Scenario sequence, or per-scenario dicts. Empty = programming is
+    # exactly device.program_cells.
     scenarios: ScenarioSpec = None
     pwt: PWTConfig = field(default_factory=PWTConfig)
 
@@ -246,33 +243,23 @@ class Deployer:
         # Per-stage seeds, drawn in a fixed config-determined order —
         # never conditional on cache state (see DESIGN.md, "Why stage
         # keys exclude RNG-dependent inputs").
-        saf_seed = (derive_seed(self._rng)
-                    if config.saf_rates is not None else None)
+        self._saf_seed = (derive_seed(self._rng)
+                          if config.saf_rates is not None else None)
         self._lut_seed = (derive_seed(self._rng)
                           if config.lut_source == "monte_carlo" else None)
         self._grad_seed = derive_seed(self._rng) if config.use_vawo else None
         # Scenario chip state gets its own stream — drawn only when a
         # stack is configured, so scenario-free runs leave the parent
-        # stream (and every downstream draw) bit-identical to pre-HAL.
+        # stream (and every downstream draw) untouched.
         self._scenario_seed = (derive_seed(self._rng)
                                if config.scenarios else None)
-        self.array_name = (config.array if config.array is not None
-                           else default_array_name())
-        get_array(self.array_name)       # unknown names fail at build time
-        if config.saf_rates is not None:
-            from repro.device.faults import FaultyDeviceModel
-            sa0, sa1 = config.saf_rates
-            self.programmer = FaultyDeviceModel(self.device, sa0_rate=sa0,
-                                                sa1_rate=sa1, rng=saf_seed)
-        else:
-            self.programmer = self.device
         self.lut = self._build_lut()
         self.layers: List[LayerPrep] = self._prepare_layers()
         self._calibrate_inputs()
         if config.use_vawo:
             self._estimate_gradients()
         self._assign_targets()
-        self.arrays: List[ArrayBackend] = self._build_arrays()
+        self.arrays: List[SimArray] = self._build_arrays()
 
     # ------------------------------------------------------------------
     # preparation stages
@@ -508,47 +495,36 @@ class Deployer:
     # ------------------------------------------------------------------
     # programming / deployment
     # ------------------------------------------------------------------
-    def _build_arrays(self) -> List[ArrayBackend]:
-        """One array region per layer, built by the selected family.
+    def _build_arrays(self) -> List[SimArray]:
+        """One :class:`SimArray` per layer, in layer order.
 
-        The factory receives the deployer's programmer (the lognormal
-        device model, fault-wrapped when ``saf_rates`` is set) and the
-        layer's matrix shape; a configured scenario stack wraps every
-        region in a :class:`ScenarioArray` with its own persistent-state
-        stream (one ``SeedSequence`` child per layer).
+        With ``saf_rates`` set, every layer gets its own
+        :class:`FaultyDeviceModel`; all of them draw their lazily
+        sampled fault maps from one generator seeded with the SAF seed,
+        in programming (= layer) order, so equal-shaped layers get
+        independent maps. A configured scenario stack gets one
+        persistent-state seed per layer (``SeedSequence`` children).
         """
-        factory = get_array(self.array_name)
-        arrays: List[ArrayBackend] = [
-            factory(self.programmer, prep.plan.rows, prep.plan.cols)
-            for prep in self.layers]
-        if self.config.scenarios:
-            seeds = spawn_seeds(self._scenario_seed, len(arrays))
-            arrays = [ScenarioArray(inner, self.config.scenarios, seed)
-                      for inner, seed in zip(arrays, seeds)]
-        return arrays
+        n_layers = len(self.layers)
+        devices: List[Union[DeviceModel, FaultyDeviceModel]] = (
+            [self.device] * n_layers)
+        if self.config.saf_rates is not None:
+            sa0, sa1 = self.config.saf_rates
+            saf_rng = make_rng(self._saf_seed)
+            devices = [FaultyDeviceModel(self.device, sa0_rate=sa0,
+                                         sa1_rate=sa1, rng=saf_rng)
+                       for _ in range(n_layers)]
+        seeds = (spawn_seeds(self._scenario_seed, n_layers)
+                 if self.config.scenarios else [None] * n_layers)
+        return [SimArray(device, prep.plan.rows, prep.plan.cols,
+                         self.config.scenarios, seed)
+                for prep, device, seed in zip(self.layers, devices, seeds)]
 
-    def array_key_components(self) -> Dict[str, Any]:
-        """The array/scenario identity that shapes programmed state.
-
-        The declared capability dict of the (representative) first
-        layer's array — all layers share one family and stack — plus
-        the full scenario parameters; folded into ``serve_program``
-        content-addressed keys. Flat scalars and nested dicts only.
-        """
-        return {
-            "array": self.array_name,
-            "array_components": dict(self.arrays[0].key_components()),
-            "scenarios": scenario_key_components(self.config.scenarios),
-        }
-
-    def _build_deployed(self, cells_per_layer: List[np.ndarray],
-                        arrays: Optional[List[ArrayBackend]] = None,
-                        ) -> Module:
+    def _build_deployed(self, cells_per_layer: List[np.ndarray]) -> Module:
         deployed = copy.deepcopy(self.model)
-        for i, (prep, cells) in enumerate(zip(self.layers, cells_per_layer)):
+        for prep, cells in zip(self.layers, cells_per_layer):
             common = dict(
                 cells=cells, plan=prep.plan,
-                array=None if arrays is None else arrays[i],
                 registers=prep.assignment.registers.astype(np.float64),
                 complement=prep.assignment.complement,
                 cell=self.config.cell, weight_bits=self.config.weight_bits,
@@ -579,7 +555,7 @@ class Deployer:
         with span("deploy.program", layers=len(self.layers)):
             cells = [array.program(prep.assignment.ctw, rng)
                      for prep, array in zip(self.layers, self.arrays)]
-            deployed = self._build_deployed(cells, self.arrays)
+            deployed = self._build_deployed(cells)
         obs_metrics.inc("deploy.programming_cycles")
         if self.config.bn_recalibrate:
             with span("deploy.bn_recalibrate"):

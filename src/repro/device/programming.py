@@ -11,15 +11,11 @@ iterative programmer so examples/ablations can quantify that trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.device.lut import DeviceModel
 from repro.utils.rng import RngLike, make_rng
-
-if TYPE_CHECKING:  # runtime import would couple repro.device to repro.array
-    from repro.array.base import ArrayBackend
 
 
 @dataclass
@@ -68,45 +64,4 @@ def write_verify(device: DeviceModel, values: np.ndarray,
         crw[todo] = retry
         pulses[todo] += 1
         converged[todo] = np.abs(retry - values[todo]) <= tol[todo]
-    return WriteVerifyResult(crw=crw, pulses=pulses, converged=converged)
-
-
-def write_verify_array(array: "ArrayBackend", values: np.ndarray,
-                       rel_tolerance: float = 0.1, max_pulses: int = 20,
-                       rng: RngLike = None) -> WriteVerifyResult:
-    """Write-and-verify over a HAL array (:mod:`repro.array`).
-
-    The array-level counterpart of :func:`write_verify` for backends
-    that only expose whole-region programming cycles. Each pulse
-    re-programs the full (rows, cols) region through
-    :meth:`~repro.array.base.ArrayBackend.program`; weights that
-    already verified keep their stored cells (program-inhibit, the
-    standard selective-verify flow), so their pulse counts stop
-    growing. The accepted cell image is loaded back into the array at
-    the end, leaving its read-back consistent with the returned CRWs.
-    """
-    if rel_tolerance <= 0:
-        raise ValueError("rel_tolerance must be positive")
-    if max_pulses < 1:
-        raise ValueError("max_pulses must be >= 1")
-    from repro.quant.bitslice import assemble_weights
-
-    rng = make_rng(rng)
-    values = np.asarray(values)
-    best_cells = array.program(values, rng)
-    crw = assemble_weights(best_cells, array.cell.bits)
-    pulses = np.ones(values.shape, dtype=np.int64)
-    tol = rel_tolerance * np.maximum(values, 1)
-    converged = np.abs(crw - values) <= tol
-    for _ in range(max_pulses - 1):
-        todo = ~converged
-        if not todo.any():
-            break
-        retry_cells = array.program(values, rng)
-        retry_crw = assemble_weights(retry_cells, array.cell.bits)
-        best_cells = np.where(todo[..., None], retry_cells, best_cells)
-        crw = np.where(todo, retry_crw, crw)
-        pulses[todo] += 1
-        converged = converged | (np.abs(crw - values) <= tol)
-    array.load_cells(best_cells)
     return WriteVerifyResult(crw=crw, pulses=pulses, converged=converged)

@@ -330,17 +330,15 @@ def run_scenario_matrix(workload_name: str = "lenet",
                         methods: Sequence[str] = ("plain", "vawo*+pwt"),
                         scenario_axis: Optional[Dict[str, Optional[str]]] = None,
                         scenarios: Optional[str] = None,
-                        array: Optional[str] = None,
                         sigma: float = 0.5, n_trials: int = 2, seed: int = 0,
                         jobs: Optional[int] = 1) -> List[ScenarioRow]:
-    """Technique x scenario robustness grid over the HAL scenario engine.
+    """Technique x scenario robustness grid over the scenario engine.
 
-    Every (method, stack) cell programs through
-    :class:`repro.array.scenarios.ScenarioArray` and evaluates
-    ``n_trials`` programming cycles with the parallel executor
-    (``jobs`` shards them; bit-identical to serial). ``scenarios``
-    replaces the default axis with one caller-provided stack (plus the
-    "none" control); ``array`` pins the HAL family for every cell.
+    Every (method, stack) cell programs arrays that replay the stack
+    (:class:`repro.array.sim.SimArray`) and evaluates ``n_trials``
+    programming cycles with the parallel executor (``jobs`` shards
+    them; bit-identical to serial). ``scenarios`` replaces the default
+    axis with one caller-provided stack (plus the "none" control).
     """
     axis = dict(scenario_axis) if scenario_axis is not None \
         else dict(DEFAULT_SCENARIOS)
@@ -356,7 +354,7 @@ def run_scenario_matrix(workload_name: str = "lenet",
             cfg = DeployConfig.from_method(
                 method, sigma=sigma, cell=SLC, granularity=16,
                 pwt=_default_pwt(preset), bn_recalibrate=True,
-                array=array, scenarios=spec)
+                scenarios=spec)
             deployer = Deployer(wl.model, wl.train, cfg, rng=seed + 10)
             result = evaluate_deployment(deployer, wl.test,
                                          n_trials=n_trials, rng=seed + 20,

@@ -44,7 +44,6 @@ from time import perf_counter
 from traceback import format_exc
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.array import default_array_name
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.obs import trace as obs_trace
@@ -225,9 +224,7 @@ class TrialExecutor:
         grid_seeds = trial_seeds(seed, n_trials, seeds)
         jobs = resolve_jobs(self.jobs, n_trials)
         obs_active = obs_runtime.enabled()
-        array_name = default_array_name()
-        tasks = [TrialTask(index=i, seed=s, fn=fn, obs_active=obs_active,
-                           array=array_name)
+        tasks = [TrialTask(index=i, seed=s, fn=fn, obs_active=obs_active)
                  for i, s in enumerate(grid_seeds)]
         backend = self._choose_backend(jobs, tasks)
 

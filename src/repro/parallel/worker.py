@@ -61,12 +61,6 @@ class TrialTask:
     #: the worker binds them so its span tree re-roots under the
     #: parent's ``parallel.trials`` span on merge.
     trace: Optional[TraceContext] = None
-    #: The parent's resolved default array family at submit time:
-    #: workers re-apply it so trial callables that resolve the HAL
-    #: registry (:func:`repro.array.get_array`) see the parent's
-    #: ``--array`` / ``set_default_array`` choice even in spawn-started
-    #: or reused pool processes where the override global is absent.
-    array: Optional[str] = None
 
 
 @dataclass
@@ -93,9 +87,6 @@ def run_trial_task(task: TrialTask) -> TrialPayload:
         obs_runtime.enable()
     else:
         obs_runtime.disable()
-    if task.array is not None:
-        from repro.array import set_default_array
-        set_default_array(task.array)  # fork-ok — syncs the worker's HAL default with the parent's
     obs_trace.TRACER.reset()
     obs_metrics.REGISTRY.reset()
     if task.obs_active and task.trace is not None:

@@ -27,6 +27,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.array.scenarios import scenario_key_components
 from repro.backend import get_backend
 from repro.cache import CacheStore, active_store, digest_array, digest_arrays
 from repro.cache.keys import stage_key
@@ -72,17 +73,16 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
 
     Folds in every input the programmed state depends on: the float
     model weights, the train set (BatchNorm recalibration and PWT read
-    it), the device physics, the array family's declared capability
-    dict and the scenario-stack parameters (the HAL inputs — two runs
-    share programmed state only when the array would reproduce it),
-    all deployment config fields, the active kernel backend's name,
-    and the seeds of both the deployer's preparation stream and the
-    programming cycle itself.
+    it), the device physics, the stuck-at fault rates and the
+    scenario-stack parameters (two runs share programmed state only
+    when the arrays would reproduce it), all deployment config fields,
+    the active kernel backend's name, and the seeds of both the
+    deployer's preparation stream and the programming cycle itself.
     """
     cfg = deployer.config
     components: Dict[str, Any] = dict(device_key_components(deployer.device))
-    components.update(deployer.array_key_components())
     components.update(
+        scenarios=scenario_key_components(cfg.scenarios),
         model_state=digest_arrays(deployer.model.state_dict()),
         train_images=digest_array(deployer.train_data.images),
         train_labels=digest_array(deployer.train_data.labels),
@@ -170,11 +170,11 @@ class ModelRegistry:
                                key[:16], i, layer_cells.shape, expected)
                 return None
             cells.append(layer_cells)
-        # Warm starts restore the HAL arrays too, so read_back/vmm on
-        # a loaded deployment observe the stored chip state.
+        # Warm starts restore the arrays too, so read_back on a loaded
+        # deployment observes the stored chip state.
         for array, layer_cells in zip(deployer.arrays, cells):
             array.load_cells(layer_cells)
-        deployed = deployer._build_deployed(cells, deployer.arrays)
+        deployed = deployer._build_deployed(cells)
         state = {name[len(_STATE_PREFIX):]: value
                  for name, value in arrays.items()
                  if name.startswith(_STATE_PREFIX)}

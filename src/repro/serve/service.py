@@ -53,9 +53,7 @@ class ServeConfig:
     cell_bits: int = 1
     seed: int = 0
     saf_rates: Optional[Tuple[float, float]] = None
-    # HAL selection: registered array family (None = REPRO_ARRAY /
-    # "sim") and the scenario-stack spec string (None = bare array).
-    array: Optional[str] = None
+    # Scenario-stack spec string (None = no scenarios).
     scenarios: Optional[str] = None
     max_batch: int = 8
     max_wait_ms: float = 2.0
@@ -64,8 +62,6 @@ class ServeConfig:
 
     def describe(self) -> str:
         extras = ""
-        if self.array is not None:
-            extras += f" array={self.array}"
         if self.scenarios:
             extras += f" scenarios={self.scenarios}"
         return (f"{self.workload}/{self.preset} method={self.method} "
@@ -121,8 +117,7 @@ class InferenceService:
         deploy_cfg = DeployConfig.from_method(
             cfg.method, sigma=cfg.sigma, granularity=cfg.granularity,
             cell=cell, pwt=_default_pwt(cfg.preset), bn_recalibrate=True,
-            saf_rates=cfg.saf_rates, array=cfg.array,
-            scenarios=cfg.scenarios)
+            saf_rates=cfg.saf_rates, scenarios=cfg.scenarios)
         deployer_seed = cfg.seed + 10
         deployer = Deployer(wl.model, wl.train, deploy_cfg,
                             rng=deployer_seed)

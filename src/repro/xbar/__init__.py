@@ -1,15 +1,14 @@
-"""Crossbar simulation: arrays, ADCs, tiling, and the bit-accurate engine."""
+"""Crossbar simulation: ADCs, tiling, and the bit-accurate engine."""
 
 from repro.xbar.adc import ADC
 from repro.xbar.arch import (OneCrossbarScheme, SchemeCost, TwoCrossbarScheme,
                              normalized_crossbar_number)
-from repro.xbar.crossbar import Crossbar
 from repro.xbar.engine import CrossbarEngine
 from repro.xbar.mapper import CrossbarMapper, TileSpec, layer_matrix_shape
 from repro.xbar.tiled import TiledCrossbarEngine
 
 __all__ = [
-    "Crossbar", "ADC", "CrossbarEngine", "TiledCrossbarEngine",
+    "ADC", "CrossbarEngine", "TiledCrossbarEngine",
     "CrossbarMapper", "TileSpec", "layer_matrix_shape",
     "OneCrossbarScheme", "TwoCrossbarScheme", "SchemeCost",
     "normalized_crossbar_number",

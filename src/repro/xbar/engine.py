@@ -46,9 +46,6 @@ from repro.utils.contracts import check_shapes
 from repro.xbar.adc import ADC
 
 if TYPE_CHECKING:  # runtime import would create a repro.core <-> repro.xbar cycle
-    from typing import Any
-
-    from repro.array.base import ArrayBackend
     from repro.core.offsets import OffsetPlan
 
 
@@ -116,20 +113,6 @@ class CrossbarEngine:
             granularity=self.plan.granularity, input_bits=self.input_bits,
             weight_qmax=self.weight_qmax,
             weight_zero_point=self.weight_zero_point, adc=self.adc)
-
-    @classmethod
-    def from_array(cls, array: "ArrayBackend", plan: "OffsetPlan",
-                   registers: np.ndarray, complement: np.ndarray,
-                   **kwargs: "Any") -> "CrossbarEngine":
-        """An engine over a programmed HAL array's current state.
-
-        Reads the (rows, cols, n_cells) cell image back from ``array``
-        (a :class:`repro.array.base.ArrayBackend`) and takes the cell
-        technology from it; every other engine field passes through
-        ``kwargs`` unchanged.
-        """
-        return cls(cells=array.read_back(), plan=plan, registers=registers,
-                   complement=complement, cell=array.cell, **kwargs)
 
     @property
     def weight_qmax(self) -> int:

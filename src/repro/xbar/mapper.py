@@ -10,7 +10,7 @@ counts that Table III's "crossbar number" comparison is based on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,15 +52,6 @@ class CrossbarMapper:
             raise ValueError("crossbar size must be positive")
         if not 1 <= self.cells_per_weight <= self.size:
             raise ValueError("cells_per_weight must fit in one crossbar row")
-
-    @classmethod
-    def for_array(cls, array: "Any", size: int = 128) -> "CrossbarMapper":
-        """A mapper matched to a HAL array's cell geometry.
-
-        ``array`` is any :class:`repro.array.base.ArrayBackend`; the
-        tiling uses its ``cells_per_weight`` at crossbar ``size``.
-        """
-        return cls(size=size, cells_per_weight=array.cells_per_weight)
 
     @property
     def weight_cols_per_xbar(self) -> int:

@@ -26,9 +26,6 @@ from repro.xbar.engine import CrossbarEngine
 from repro.xbar.mapper import CrossbarMapper, TileSpec
 
 if TYPE_CHECKING:  # runtime import would create a repro.core <-> repro.xbar cycle
-    from typing import Any
-
-    from repro.array.base import ArrayBackend
     from repro.core.offsets import OffsetPlan
 
 
@@ -75,24 +72,6 @@ class TiledCrossbarEngine:
                 weight_scale=weight_scale,
                 weight_zero_point=weight_zero_point,
                 input_scale=input_scale, adc=adc, backend=backend))
-
-    @classmethod
-    def from_array(cls, array: "ArrayBackend", plan: "OffsetPlan",
-                   registers: np.ndarray, complement: np.ndarray,
-                   mapper: Optional[CrossbarMapper] = None,
-                   **kwargs: "Any") -> "TiledCrossbarEngine":
-        """A tiled engine over a programmed HAL array's current state.
-
-        Reads the ``(rows, cols, n_cells)`` cell image back from
-        ``array`` and defaults the
-        ``mapper`` to :meth:`CrossbarMapper.for_array` (128-cell tiles
-        at the array's ``cells_per_weight``); remaining engine fields
-        pass through ``kwargs`` unchanged.
-        """
-        mapper = mapper or CrossbarMapper.for_array(array)
-        return cls(cells=array.read_back(), plan=plan, registers=registers,
-                   complement=complement, cell=array.cell, mapper=mapper,
-                   **kwargs)
 
     @property
     def crossbar_count(self) -> int:

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from repro.array.scenarios import (DriftScenario, ProgramNoiseScenario,
-                                   Scenario, ScenarioArray, StuckAtScenario,
-                                   TempCoefficientScenario,
+                                   StuckAtScenario, TempCoefficientScenario,
                                    available_scenarios, parse_scenario_spec,
-                                   register_scenario,
                                    scenario_key_components)
 from repro.array.sim import SimArray
-from repro.device.cell import MLC2, SLC
+from repro.device.cell import SLC
 from repro.device.lut import DeviceModel
 from repro.device.variation import VariationModel
 from repro.utils.rng import make_rng
 
 
-def make_array(sigma=0.0, cell=SLC, rows=8, cols=6):
+def make_array(sigma=0.0, cell=SLC, rows=8, cols=6, scenarios=(),
+               seed=None):
     device = DeviceModel(cell, VariationModel(sigma), n_bits=8)
-    return SimArray(device, rows, cols)
+    return SimArray(device, rows, cols, scenarios, seed)
 
 
 def values_for(array, seed=0):
@@ -82,10 +81,6 @@ class TestSpecParsing:
         assert {"stuck_at", "temperature", "drift",
                 "program_noise"} <= set(names)
 
-    def test_register_duplicate_raises(self):
-        with pytest.raises(ValueError):
-            register_scenario(StuckAtScenario)
-
 
 class TestScenarioPhysics:
     def test_temperature_identity_at_reference(self):
@@ -147,64 +142,47 @@ class TestScenarioPhysics:
         np.testing.assert_array_equal(out[healthy], 0.5)
 
 
-class TestScenarioArray:
+class TestScenarioStack:
     def test_stuck_at_changes_programmed_cells(self):
-        array = make_array(sigma=0.3)
-        values = values_for(array)
+        values = values_for(make_array())
         bare = make_array(sigma=0.3).program(values, make_rng(7))
-        wrapped = ScenarioArray(array, parse_scenario_spec(
+        array = make_array(sigma=0.3, scenarios=parse_scenario_spec(
             "stuck_at:sa0_rate=0.3,sa1_rate=0.1"), seed=0)
-        cells = wrapped.program(values, make_rng(7))
+        cells = array.program(values, make_rng(7))
         assert not np.array_equal(cells, bare)
-        np.testing.assert_array_equal(wrapped.read_back(), cells)
+        np.testing.assert_array_equal(array.read_back(), cells)
 
     def test_persistent_state_across_cycles(self):
-        wrapped = ScenarioArray(make_array(sigma=0.0), parse_scenario_spec(
+        array = make_array(sigma=0.0, scenarios=parse_scenario_spec(
             "stuck_at:sa0_rate=0.5"), seed=3)
-        values = values_for(wrapped)
-        a = wrapped.program(values, make_rng(1))
-        b = wrapped.program(values, make_rng(2))
+        values = values_for(array)
+        a = array.program(values, make_rng(1))
+        b = array.program(values, make_rng(2))
         # sigma=0 and persistent faults: the two cycles read identically.
         np.testing.assert_array_equal(a, b)
 
-    def test_state_deterministic_in_wrapper_seed(self):
-        spec = "temperature:alpha_std=0.01"
+    def test_state_deterministic_in_seed(self):
+        stack = parse_scenario_spec("temperature:alpha_std=0.01")
         values = values_for(make_array())
-        runs = [ScenarioArray(make_array(), parse_scenario_spec(spec),
-                              seed=9).program(values, make_rng(4))
+        runs = [make_array(scenarios=stack, seed=9).program(values,
+                                                            make_rng(4))
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
-        other = ScenarioArray(make_array(), parse_scenario_spec(spec),
-                              seed=10).program(values, make_rng(4))
+        other = make_array(scenarios=stack, seed=10).program(values,
+                                                             make_rng(4))
         assert not np.array_equal(runs[0], other)
 
     def test_stack_applies_in_order(self):
         values = values_for(make_array())
         drift = DriftScenario(t_seconds=100.0, nu_mean=0.1, nu_std=0.0)
         stuck = StuckAtScenario(sa0_rate=0.5, sa1_rate=0.0)
-        a = ScenarioArray(make_array(), (stuck, drift),
-                          seed=0).program(values, make_rng(1))
-        b = ScenarioArray(make_array(), (drift, stuck),
-                          seed=0).program(values, make_rng(1))
+        a = make_array(scenarios=(stuck, drift),
+                       seed=0).program(values, make_rng(1))
+        b = make_array(scenarios=(drift, stuck),
+                       seed=0).program(values, make_rng(1))
         # stuck-then-drift decays the pinned cells; drift-then-stuck
         # re-pins them afterwards — different physics, different cells.
         assert not np.array_equal(a, b)
-
-    def test_geometry_delegation(self):
-        wrapped = ScenarioArray(make_array(cell=MLC2, rows=5, cols=4), (),
-                                seed=0)
-        assert (wrapped.rows, wrapped.cols) == (5, 4)
-        assert wrapped.cells_per_weight == 4
-        assert wrapped.cell is MLC2
-
-    def test_vmm_sees_perturbed_state(self):
-        wrapped = ScenarioArray(make_array(sigma=0.0), parse_scenario_spec(
-            "drift:t_seconds=100,nu_mean=0.1,nu_std=0"), seed=0)
-        values = values_for(wrapped)
-        cells = wrapped.program(values, make_rng(1))
-        out = wrapped.vmm(np.ones(wrapped.rows))
-        np.testing.assert_allclose(
-            out, cells.reshape(wrapped.rows, -1).sum(axis=0))
 
     def test_obs_counter_increments(self):
         import repro.obs as obs
@@ -213,9 +191,9 @@ class TestScenarioArray:
         obs.enable()
         obs_metrics.REGISTRY.reset()
         try:
-            wrapped = ScenarioArray(make_array(), parse_scenario_spec(
-                "stuck_at"), seed=0)
-            wrapped.program(values_for(wrapped), make_rng(1))
+            array = make_array(scenarios=parse_scenario_spec("stuck_at"),
+                               seed=0)
+            array.program(values_for(array), make_rng(1))
             snapshot = obs_metrics.REGISTRY.snapshot()
             assert snapshot["counters"]["scenario.stuck_at.applied"] == 1
             assert snapshot["counters"]["array.program_cycles"] == 1
@@ -239,50 +217,11 @@ class TestKeyComponents:
         assert comps[0]["scenario"] == "stuck_at"
         assert scenario_key_components(()) == ()
 
-    def test_wrapper_extends_inner_components(self):
-        wrapped = ScenarioArray(make_array(), parse_scenario_spec(
-            "drift:t_seconds=50"), seed=0)
-        comps = wrapped.key_components()
-        assert comps["array"] == "sim"
-        assert comps["scenarios"][0]["t_seconds"] == 50.0
-
     def test_components_fingerprint_into_cache_keys(self):
         from repro.cache.keys import fingerprint
-        base = make_array()
-        k_empty = fingerprint(ScenarioArray(base, (), 0).key_components())
+        k_empty = fingerprint(scenario_key_components(()))
         k_drift = fingerprint(
-            ScenarioArray(base, parse_scenario_spec("drift"),
-                          0).key_components())
-        assert k_empty != k_drift
-
-
-class TestWriteVerifyArray:
-    def test_converges_and_loads_back(self):
-        from repro.device.programming import write_verify_array
-        array = make_array(sigma=0.3, rows=10, cols=6)
-        values = values_for(array)
-        result = write_verify_array(array, values, rel_tolerance=0.2,
-                                    max_pulses=10, rng=make_rng(0))
-        assert result.crw.shape == values.shape
-        assert (result.pulses >= 1).all()
-        assert result.converged.mean() > 0.5
-        # The accepted cell image is the array's current state.
-        from repro.quant.bitslice import assemble_weights
-        np.testing.assert_array_equal(
-            assemble_weights(array.read_back(), array.cell.bits), result.crw)
-
-    def test_sigma_zero_single_pulse(self):
-        from repro.device.programming import write_verify_array
-        array = make_array(sigma=0.0, rows=4, cols=4)
-        result = write_verify_array(array, values_for(array),
-                                    rel_tolerance=0.5, rng=make_rng(0))
-        assert (result.pulses == 1).all()
-        assert result.converged.all()
-
-    def test_invalid_args(self):
-        from repro.device.programming import write_verify_array
-        array = make_array()
-        with pytest.raises(ValueError):
-            write_verify_array(array, values_for(array), rel_tolerance=0.0)
-        with pytest.raises(ValueError):
-            write_verify_array(array, values_for(array), max_pulses=0)
+            scenario_key_components(parse_scenario_spec("drift")))
+        k_later = fingerprint(scenario_key_components(
+            parse_scenario_spec("drift:t_seconds=1e5")))
+        assert len({k_empty, k_drift, k_later}) == 3

@@ -146,3 +146,25 @@ class TestDeploymentWithFaults:
                     for t in range(3)]
             accs[method] = np.mean(vals)
         assert accs["vawo*+pwt"] > accs["plain"] + 0.1
+
+    def test_equal_shaped_layers_get_distinct_fault_maps(self):
+        """Every layer is its own chip region: two layers with the same
+        matrix shape must not share stuck cells."""
+        from repro.core import DeployConfig, Deployer
+        from repro.data.loaders import Dataset
+        from repro.data.synthetic import synthetic_cifar
+        from repro.nn.models import resnet_tiny
+
+        images, labels = synthetic_cifar(32, rng=0)
+        cfg = DeployConfig.from_method("plain", sigma=0.3, granularity=16,
+                                       saf_rates=(0.1, 0.02))
+        deployer = Deployer(resnet_tiny(rng=0), Dataset(images, labels),
+                            cfg, rng=0)
+        deployer.program(rng=1)
+        shapes = deployer.layer_matrix_shapes()
+        twins = [i for i, shape in enumerate(shapes) if shape == (36, 4)]
+        assert len(twins) == 2
+        a, b = (deployer.arrays[i] for i in twins)
+        map_a = a.device.fault_map_for(a.read_back().shape)
+        map_b = b.device.fault_map_for(b.read_back().shape)
+        assert not np.array_equal(map_a.stuck_at_0, map_b.stuck_at_0)

@@ -45,7 +45,11 @@ class TestKey:
         b = serve_program_key(_deployer(tiny_workload, sigma=0.4), 10, seed)
         c = serve_program_key(_deployer(tiny_workload, granularity=4),
                               10, seed)
-        assert len({a, b, c}) == 3
+        d = serve_program_key(_deployer(tiny_workload, scenarios="drift"),
+                              10, seed)
+        e = serve_program_key(_deployer(tiny_workload, saf_rates=(0.1, 0.02)),
+                              10, seed)
+        assert len({a, b, c, d, e}) == 5
 
     def test_key_tracks_backend(self, tiny_workload):
         from repro.backend import use_backend

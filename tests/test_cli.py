@@ -25,13 +25,11 @@ class TestParsing:
     def test_backends_listing(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "compute backends" in out and "array backends" in out
-        for name in ("reference", "vectorized", "sim"):
+        assert "compute backends" in out
+        for name in ("reference", "vectorized"):
             assert name in out
-        from repro.array import default_array_name
         from repro.backend import default_backend_name
         assert f"* {default_backend_name()}\n" in out
-        assert f"* {default_array_name()}\n" in out
 
     def test_backend_flag_exports_choice(self, capsys, monkeypatch):
         import os
@@ -50,8 +48,7 @@ class TestParsing:
         capsys.readouterr()
 
     @pytest.mark.parametrize("stale", ["accel", "bogus"])
-    @pytest.mark.parametrize("env_var,kind", [("REPRO_BACKEND", "backend"),
-                                              ("REPRO_ARRAY", "array")])
+    @pytest.mark.parametrize("env_var,kind", [("REPRO_BACKEND", "backend")])
     def test_unknown_env_name_fails_fast(self, capsys, monkeypatch, stale,
                                          env_var, kind):
         """A stale or mistyped env selection is a usage error listing
@@ -63,9 +60,7 @@ class TestParsing:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert f"unknown {kind} {stale!r}" in err
-            registered = ("reference, vectorized" if kind == "backend"
-                          else "sim")
-            assert f"registered: {registered}" in err
+            assert "registered: reference, vectorized" in err
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
