@@ -101,7 +101,7 @@ def test_bit_accurate_engine_forward(benchmark, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_conv2d_float_forward(benchmark, backend):
-    """The fast float conv path (im2col + shared matmul)."""
+    """The fast float conv path (im2col + one GEMM)."""
     rng = make_rng(0)
     x = Tensor(rng.normal(size=(8, 3, 32, 32)))
     w = Tensor(rng.normal(size=(16, 3, 3, 3)))
@@ -134,8 +134,7 @@ def test_conv_via_crossbar_engine(benchmark, backend):
 
     def conv_on_crossbar():
         cols, oh, ow = get_backend(backend).im2col(x, kh, kw, 1, 1)
-        flat = cols.transpose(0, 2, 1).reshape(-1, rows)   # (N*OH*OW, rows)
-        return engine.forward(flat)
+        return engine.forward(cols)                        # (N*OH*OW, rows)
 
     benchmark.pedantic(conv_on_crossbar, rounds=3, iterations=1,
                        warmup_rounds=1)

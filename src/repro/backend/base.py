@@ -2,7 +2,9 @@
 
 A *backend* is a named bundle of the library's arithmetic hot paths:
 the im2col / col2im / pooling window kernels that
-:mod:`repro.nn.functional` builds convolution and pooling from, and the
+:mod:`repro.nn.functional` builds convolution and pooling from (im2col
+emits the channels-last crossbar-row matrix a conv is one GEMM over,
+col2im is its adjoint), and the
 bit-serial crossbar VMM that :class:`repro.xbar.engine.CrossbarEngine`
 runs. Consumers never import a kernel implementation directly — they
 resolve the active backend through :func:`repro.backend.get_backend`
@@ -12,10 +14,10 @@ and call the methods defined here, so kernel implementations can evolve
 Two implementations ship with the library:
 
 * ``reference`` (:mod:`repro.backend.reference`) — the original
-  loop-based kernels, kept verbatim as the correctness oracle;
+  loop-based kernels, kept as the correctness oracle;
 * ``vectorized`` (:mod:`repro.backend.vectorized`) — the default:
-  strided-view windows, a batched bit-serial VMM for finite ADCs and
-  one packed GEMM for an ideal ADC.
+  strided-view windows, a cache-blocked col2im, a batched bit-serial
+  VMM for finite ADCs and one packed GEMM for an ideal ADC.
 
 Every backend must be *numerically interchangeable* with ``reference``
 up to float rounding; the guarantee is asserted by the shared
@@ -199,15 +201,23 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------
     def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
                pad: int) -> Tuple[np.ndarray, int, int]:
-        """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW);
-        returns ``(cols, OH, OW)``."""
+        """Unfold ``x`` (N, C, H, W) into the crossbar-row matrix
+        (N*OH*OW, C*kh*kw); returns ``(cols, OH, OW)``.
+
+        Row ``n*OH*OW + i*OW + j`` is the wordline vector of output
+        pixel (i, j) of image n; columns run in crossbar row order
+        (c, kh, kw), the order a conv kernel unrolls onto wordlines.
+        ``cols @ weight.reshape(F, -1).T`` is the convolution.
+        """
         obs_metrics.inc(f"backend.{self.name}.im2col")
         return self._im2col(x, kh, kw, stride, pad)
 
     def col2im(self, cols: np.ndarray, x_shape: Tuple[int, int, int, int],
                kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-        """Fold columns (N, C*kh*kw, OH*OW) back into an image of shape
-        ``x_shape`` (N, C, H, W), accumulating overlaps (im2col adjoint)."""
+        """Fold a crossbar-row matrix (N*OH*OW, C*kh*kw) back into an
+        image of shape ``x_shape`` (N, C, H, W), accumulating overlaps —
+        the exact adjoint of :meth:`im2col`. The result may be an
+        (N, C, H, W) view over channels-last memory."""
         obs_metrics.inc(f"backend.{self.name}.col2im")
         return self._col2im(cols, x_shape, kh, kw, stride, pad)
 

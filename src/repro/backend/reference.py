@@ -1,7 +1,8 @@
 """The loop-based reference kernel set — the correctness oracle.
 
-This is the library's original kernel code, moved here verbatim from
-:mod:`repro.nn.functional` (im2col / col2im / pooling windows) and
+This is the library's original kernel code, moved here from
+:mod:`repro.nn.functional` (im2col / col2im / pooling windows, since
+re-indexed to the channels-last crossbar-row matrix) and
 :mod:`repro.xbar.engine` (the bit-serial, group-at-a-time crossbar
 VMM). It stays deliberately simple and close to the paper's datapath
 description: one ADC conversion per cell column per cycle, one offset
@@ -31,41 +32,46 @@ class ReferenceBackend(KernelBackend):
     # ------------------------------------------------------------------
     def _im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
                 pad: int) -> Tuple[np.ndarray, int, int]:
-        """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
+        """Unfold ``x`` (N, C, H, W) into the crossbar-row matrix
+        (N*OH*OW, C*kh*kw), columns in (c, kh, kw) order.
 
         The loop is over the ``kh * kw`` kernel positions only (a
-        handful of iterations); each iteration copies a strided view,
-        so the whole operation is vectorised over batch and spatial
-        dims.
+        handful of iterations); each iteration copies the strided
+        (N, C, OH, OW) window of the padded image seen by that kernel
+        tap into its column slot, so the whole operation is vectorised
+        over batch, channel and spatial dims.
         """
         if pad > 0:
             x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         n, c, h, w = x.shape
         oh = (h - kh) // stride + 1
         ow = (w - kw) // stride + 1
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+        cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
         for i in range(kh):
             i_end = i + stride * oh
             for j in range(kw):
                 j_end = j + stride * ow
-                cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
-        return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+                tap = x[:, :, i:i_end:stride, j:j_end:stride]
+                cols[:, :, :, :, i, j] = tap.transpose(0, 2, 3, 1)
+        return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
     def _col2im(self, cols: np.ndarray, x_shape: Tuple[int, int, int, int],
                 kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-        """Fold columns (N, C*kh*kw, OH*OW) back into an image of shape
-        ``x_shape``, accumulating overlaps (im2col adjoint)."""
+        """Fold a crossbar-row matrix (N*OH*OW, C*kh*kw) back into an
+        image of shape ``x_shape``, accumulating overlaps (im2col
+        adjoint)."""
         n, c, h, w = x_shape
         hp, wp = h + 2 * pad, w + 2 * pad
         oh = (hp - kh) // stride + 1
         ow = (wp - kw) // stride + 1
-        cols = cols.reshape(n, c, kh, kw, oh, ow)
+        cols = cols.reshape(n, oh, ow, c, kh, kw)
         x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
         for i in range(kh):
             i_end = i + stride * oh
             for j in range(kw):
                 j_end = j + stride * ow
-                x[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
+                tap = cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                x[:, :, i:i_end:stride, j:j_end:stride] += tap
         if pad > 0:
             x = x[:, :, pad:-pad, pad:-pad]
         return x

@@ -5,7 +5,12 @@ throughput:
 
 * im2col and pooling windows are built from one
   ``np.lib.stride_tricks.as_strided`` view copied in a single pass
-  instead of a python loop over kernel positions;
+  instead of a python loop over kernel positions; im2col reads a
+  channels-last padded copy of the image, so a conv's channels-last
+  output feeds the next im2col through a contiguous read;
+* col2im folds into a channels-last buffer over cache-sized blocks of
+  images, so each block of columns is read from cache on all but the
+  first of its kh*kw passes;
 * with an ideal ADC every term of the integer-domain output is linear
   in the quantized inputs, so the analog contraction, the Eq. 7 offset
   add, the complement post-processing and the ISAAC zero-point
@@ -38,10 +43,16 @@ from numpy.lib.stride_tricks import as_strided
 from repro.backend.base import EngineOperands, KernelBackend
 
 
+#: Target size of one block of columns in :meth:`VectorizedBackend._col2im`:
+#: small enough that a block stays cache-resident across the kh*kw
+#: strided passes that fold it.
+COL2IM_BLOCK_BYTES = 1 << 20
+
+
 def _window_view(x: np.ndarray, kh: int, kw: int,
                  stride: int) -> Tuple[np.ndarray, int, int]:
     """A zero-copy (N, C, kh, kw, OH, OW) sliding-window view of ``x``
-    (N, C, H, W); returns ``(view, OH, OW)``.
+    (N, C, H, W) in any memory layout; returns ``(view, OH, OW)``.
 
     The view aliases ``x`` with overlapping strides — callers must copy
     (e.g. via ``reshape``) before writing anywhere.
@@ -55,6 +66,19 @@ def _window_view(x: np.ndarray, kh: int, kw: int,
     return view, oh, ow
 
 
+def _channels_last_padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` (N, C, H, W) as a channels-last (N, H+2p, W+2p, C) array:
+    a view when ``pad`` is 0, else one zero-bordered copy (a contiguous
+    read when ``x`` already lives in channels-last memory)."""
+    xt = x.transpose(0, 2, 3, 1)
+    if pad == 0:
+        return xt
+    n, h, w, c = xt.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = xt
+    return xp
+
+
 class VectorizedBackend(KernelBackend):
     """Strided-view windows and batched bit-serial VMM kernels."""
 
@@ -65,47 +89,54 @@ class VectorizedBackend(KernelBackend):
     # ------------------------------------------------------------------
     def _im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
                 pad: int) -> Tuple[np.ndarray, int, int]:
-        """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW)
-        by copying one strided window view in a single pass."""
-        if pad > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        x = np.ascontiguousarray(x)
-        n, c = x.shape[:2]
-        view, oh, ow = _window_view(x, kh, kw, stride)
+        """Unfold ``x`` (N, C, H, W) into the crossbar-row matrix
+        (N*OH*OW, C*kh*kw) by copying one strided window view of the
+        channels-last padded image in a single pass."""
+        xp = _channels_last_padded(x, pad)
+        n, hp, wp, c = xp.shape
+        oh = (hp - kh) // stride + 1
+        ow = (wp - kw) // stride + 1
+        sn, sh, sw, sc = xp.strides
+        view = as_strided(xp, shape=(n, oh, ow, c, kh, kw),
+                          strides=(sn, sh * stride, sw * stride, sc, sh, sw))
         # reshape of the overlapping view materialises the copy.
-        return view.reshape(n, c * kh * kw, oh * ow), oh, ow
+        return view.reshape(n * oh * ow, c * kh * kw), oh, ow
 
     def _col2im(self, cols: np.ndarray, x_shape: Tuple[int, int, int, int],
                 kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-        """Fold columns (N, C*kh*kw, OH*OW) back into an image of shape
-        ``x_shape``, accumulating overlaps (im2col adjoint).
+        """Fold a crossbar-row matrix (N*OH*OW, C*kh*kw) back into an
+        image of shape ``x_shape``, accumulating overlaps (im2col
+        adjoint); returns an (N, C, H, W) view over channels-last
+        memory.
 
         Overlapping windows make the adjoint a scatter-add, which a
         strided view cannot express safely (the same output element
-        would be written through several aliases); the accumulation
-        loops over the kh*kw kernel positions and stays vectorised over
-        batch and spatial dims, like the reference kernel.
+        would be written through several aliases). The fold is kh*kw
+        strided adds into a channels-last padded buffer, run over
+        blocks of :data:`COL2IM_BLOCK_BYTES` worth of images so each
+        block of columns is read from cache on every pass but the first.
         """
         n, c, h, w = x_shape
         hp, wp = h + 2 * pad, w + 2 * pad
         oh = (hp - kh) // stride + 1
         ow = (wp - kw) // stride + 1
-        cols = cols.reshape(n, c, kh, kw, oh, ow)
-        x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-        for i in range(kh):
-            i_end = i + stride * oh
-            for j in range(kw):
-                j_end = j + stride * ow
-                x[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
-        if pad > 0:
-            x = x[:, :, pad:-pad, pad:-pad]
-        return x
+        cols = cols.reshape(n, oh, ow, c, kh, kw)
+        x = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+        block = max(1, COL2IM_BLOCK_BYTES // max(cols[:1].nbytes, 1))
+        for lo in range(0, n, block):
+            x_block, cols_block = x[lo:lo + block], cols[lo:lo + block]
+            for i in range(kh):
+                i_end = i + stride * oh
+                for j in range(kw):
+                    j_end = j + stride * ow
+                    x_block[:, i:i_end:stride, j:j_end:stride] += (
+                        cols_block[..., i, j])
+        return x[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
     def _pool_windows(self, x: np.ndarray, k: int,
                       stride: int) -> np.ndarray:
         """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW) via
-        one strided-view copy."""
-        x = np.ascontiguousarray(x)
+        one strided-view copy, read in ``x``'s own memory layout."""
         n, c = x.shape[:2]
         view, oh, ow = _window_view(x, k, k, stride)
         return view.reshape(n, c, k * k, oh, ow)

@@ -31,18 +31,22 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 1,      # trained workload weights (eval.experiments)
+    "workload": 2,      # trained workload weights (eval.experiments)
+                        # v2: GEMM conv sums in a new order (last bits)
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
-    "calibrate": 1,     # per-layer input activation peaks (core.pipeline)
-    "gradients": 1,     # per-weight gradient RMS estimates (core.pipeline)
+    "calibrate": 2,     # per-layer input activation peaks (core.pipeline)
+                        # v2: conv forward is one GEMM (new summation order)
+    "gradients": 2,     # per-weight gradient RMS estimates (core.pipeline)
+                        # v2: conv forward/backward are GEMMs (new order)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 5,  # programmed deployments (serve.registry);
+    "serve_program": 6,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v4: key folds the backend name (tag alias gone)
                          # v5: array family name dropped, scenarios keyed
                          # from the deploy config
+                         # v6: BN recal + PWT run the GEMM conv (new order)
 
 }
 

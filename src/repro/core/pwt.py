@@ -147,6 +147,10 @@ def run_pwt(model: Module, train_data: Dataset,
     The model runs in eval mode throughout (BatchNorm keeps its running
     statistics; the crossbar weights are frozen) — only the offset
     registers move.
+
+    Raises ``FloatingPointError`` (and counts ``pwt.diverged``) on the
+    first batch whose loss is not finite, before it reaches the
+    optimizer.
     """
     config = config or PWTConfig()
     rng = make_rng(rng)
@@ -170,9 +174,17 @@ def run_pwt(model: Module, train_data: Dataset,
                     break
                 optimizer.zero_grad()
                 loss = F.cross_entropy(model(Tensor(images)), labels)
+                value = loss.item()
+                if not np.isfinite(value):
+                    # A non-finite step would turn every register into
+                    # NaN and quantize_offsets would round it in silently.
+                    obs_metrics.inc("pwt.diverged")
+                    raise FloatingPointError(
+                        f"PWT loss is {value} at epoch {epoch}, batch "
+                        f"{batch_idx}; the offsets were not updated by it")
                 loss.backward()
                 optimizer.step()
-                history.losses.append(loss.item())
+                history.losses.append(value)
                 n_epoch_batches += 1
         optimizer.lr *= config.lr_decay
         # The per-epoch offset-loss curve (PWT convergence) goes into

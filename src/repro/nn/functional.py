@@ -2,9 +2,11 @@
 
 Convolution and pooling are implemented as autograd primitives (with
 hand-written backward passes over im2col buffers) because composing them
-from elementwise ops would be prohibitively slow in numpy. The window
-kernels themselves (im2col / col2im / pooling windows) are *not*
-implemented here: they dispatch to the active compute backend
+from elementwise ops would be prohibitively slow in numpy. A convolution
+is one BLAS GEMM per pass over the backend's channels-last crossbar-row
+matrix, and its output lives in channels-last memory behind an NCHW
+view. The window kernels themselves (im2col / col2im / pooling windows)
+are *not* implemented here: they dispatch to the active compute backend
 (:func:`repro.backend.get_backend`), so the same autograd graph runs
 unchanged on the loop-based ``reference`` kernels or the default
 ``vectorized`` ones.
@@ -30,17 +32,23 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
            pad: int) -> Tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
 
-    Thin dispatch wrapper: the actual kernel belongs to the active
-    compute backend (``REPRO_BACKEND`` / ``--backend``).
+    A transposed view of the backend's crossbar-row matrix
+    (N*OH*OW, C*kh*kw) — the kernel belongs to the active compute
+    backend (``REPRO_BACKEND`` / ``--backend``). :func:`conv2d` uses
+    the backend matrix directly.
     """
-    return get_backend().im2col(x, kh, kw, stride, pad)
+    cols, oh, ow = get_backend().im2col(x, kh, kw, stride, pad)
+    n = x.shape[0]
+    return cols.reshape(n, oh * ow, -1).transpose(0, 2, 1), oh, ow
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
            kw: int, stride: int, pad: int) -> np.ndarray:
-    """Fold columns back into an image of shape ``x_shape``,
-    accumulating overlaps (im2col adjoint); dispatched to the backend."""
-    return get_backend().col2im(cols, x_shape, kh, kw, stride, pad)
+    """Fold columns (N, C*kh*kw, OH*OW) back into an image of shape
+    ``x_shape``, accumulating overlaps (:func:`im2col` adjoint);
+    dispatched to the backend."""
+    rows = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+    return get_backend().col2im(rows, x_shape, kh, kw, stride, pad)
 
 
 # ----------------------------------------------------------------------
@@ -51,30 +59,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW layout.
 
-    ``weight`` has shape (F, C, kh, kw). Implemented as a batched matmul
-    over im2col buffers; the backward pass reuses the saved buffer.
+    ``weight`` has shape (F, C, kh, kw). One GEMM per pass over the
+    backend's crossbar-row matrix ``cols`` (N*OH*OW, C*kh*kw): the
+    forward is ``cols @ W`` with ``W = weight.reshape(F, -1).T``, and
+    the output is an (N, F, OH, OW) view over channels-last
+    (N, OH, OW, F) memory. The backward reuses ``cols``.
     """
-    f, c, kh, kw = weight.shape
-    cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
-    w2 = weight.data.reshape(f, c * kh * kw)
-    out = np.einsum("fk,nkp->nfp", w2, cols, optimize=True)
-    out = out.reshape(x.shape[0], f, oh, ow)
+    backend = get_backend()
+    n = x.shape[0]
+    f, _, kh, kw = weight.shape
+    cols, oh, ow = backend.im2col(x.data, kh, kw, stride, padding)
+    w2 = weight.data.reshape(f, -1).T                       # (K, F) view
+    out = cols @ w2                                         # (N*OH*OW, F)
     if bias is not None:
-        out = out + bias.data.reshape(1, f, 1, 1)
+        out = out + bias.data
     x_shape = x.shape
 
     def backward(g: np.ndarray) -> None:
-        g2 = g.reshape(g.shape[0], f, oh * ow)
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, f)         # (N*OH*OW, F)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=(0, 2)))
+            bias._accumulate(g2.sum(axis=0))
         if weight.requires_grad:
-            dw = np.einsum("nfp,nkp->fk", g2, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
+            weight._accumulate((cols.T @ g2).T.reshape(weight.shape))
         if x.requires_grad:
-            dcols = np.einsum("fk,nfp->nkp", w2, g2, optimize=True)
-            x._accumulate(col2im(dcols, x_shape, kh, kw, stride, padding))
+            x._accumulate(backend.col2im(g2 @ w2.T, x_shape, kh, kw,
+                                         stride, padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     return Tensor._make(out, parents, backward)
 
 
@@ -85,6 +97,16 @@ def _pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW);
     dispatched to the active backend."""
     return get_backend().pool_windows(x, k, stride)
+
+
+def _fold_windows(dwin: np.ndarray, x_shape: Tuple[int, int, int, int],
+                  k: int, stride: int) -> np.ndarray:
+    """Fold per-window gradients (N, OH, OW, C, k*k) back onto the image
+    through the backend's col2im: each channel's k*k window is one
+    kh x kw kernel tap set of the crossbar-row matrix."""
+    n, oh, ow, c, kk = dwin.shape
+    return get_backend().col2im(dwin.reshape(n * oh * ow, c * kk), x_shape,
+                                k, k, stride, 0)
 
 
 @check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
@@ -101,11 +123,10 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        dwin = np.zeros((n, c, k * k, oh, ow), dtype=np.float64)
-        np.put_along_axis(dwin, arg[:, :, None], g[:, :, None], axis=2)
-        # Fold windows back; reuse col2im by treating k*k as (kh*kw) per channel.
-        dcols = dwin.reshape(n, c * k * k, oh * ow)
-        x._accumulate(col2im(dcols, x_shape, k, k, stride, 0))
+        dwin = np.zeros((n, oh, ow, c, k * k), dtype=np.float64)
+        np.put_along_axis(dwin.transpose(0, 3, 4, 1, 2), arg[:, :, None],
+                          g[:, :, None], axis=2)
+        x._accumulate(_fold_windows(dwin, x_shape, k, stride))
 
     return Tensor._make(out, (x,), backward)
 
@@ -123,10 +144,10 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        dwin = np.broadcast_to(g[:, :, None] / (k * k),
-                               (n, c, k * k, oh, ow)).astype(np.float64)
-        dcols = dwin.reshape(n, c * k * k, oh * ow)
-        x._accumulate(col2im(dcols, x_shape, k, k, stride, 0))
+        share = g.transpose(0, 2, 3, 1)[..., None] / (k * k)
+        dwin = np.broadcast_to(share, (n, oh, ow, c, k * k))
+        x._accumulate(_fold_windows(dwin.astype(np.float64), x_shape, k,
+                                    stride))
 
     return Tensor._make(out, (x,), backward)
 

@@ -7,7 +7,8 @@ finite-resolution ADC, complemented offset groups, partial last
 groups, boolean-masked rows), the conv/pooling window kernels (odd
 shapes, stride, padding) and the tiled multi-crossbar engine. Engine
 and conv outputs must agree within rtol/atol 1e-9, col2im within
-1e-12, and im2col and the pooling windows bitwise.
+1e-12, and im2col (the channels-last crossbar-row matrix) and the
+pooling windows bitwise.
 """
 
 import numpy as np
@@ -118,7 +119,13 @@ class TestEngineVMM:
 
 
 class TestWindowKernels:
-    """im2col / col2im / pool_windows across odd shapes."""
+    """im2col / col2im / pool_windows across odd shapes.
+
+    im2col returns the crossbar-row matrix (N*OH*OW, C*kh*kw): row
+    ``n*OH*OW + i*OW + j`` is the wordline vector of output pixel
+    (i, j) of image n, columns in (c, kh, kw) order; col2im is its
+    adjoint on that matrix.
+    """
 
     SHAPES = [
         # (n, c, h, w, kh, kw, stride, pad)
@@ -127,7 +134,15 @@ class TestWindowKernels:
         (3, 2, 5, 5, 1, 1, 1, 0),
         (2, 4, 8, 8, 2, 2, 2, 0),
         (1, 2, 9, 7, 4, 3, 3, 2),
+        (2, 1, 12, 12, 5, 5, 1, 2),     # LeNet conv1: 5x5, pad 2
+        (2, 8, 8, 8, 1, 1, 2, 0),       # ResNet shortcut: 1x1, stride 2
     ]
+
+    @staticmethod
+    def _out_hw(shape):
+        n, c, h, w, kh, kw, stride, pad = shape
+        return ((h + 2 * pad - kh) // stride + 1,
+                (w + 2 * pad - kw) // stride + 1)
 
     @pytest.mark.parametrize("backend", OTHER_BACKENDS)
     @pytest.mark.parametrize("shape", SHAPES)
@@ -138,21 +153,53 @@ class TestWindowKernels:
             x, kh, kw, stride, pad)
         alt, oh_alt, ow_alt = get_backend(backend).im2col(
             x, kh, kw, stride, pad)
-        assert (oh_alt, ow_alt) == (oh_ref, ow_ref)
+        assert (oh_alt, ow_alt) == (oh_ref, ow_ref) == self._out_hw(shape)
+        assert alt.shape == ref.shape == (n * oh_ref * ow_ref, c * kh * kw)
         np.testing.assert_array_equal(alt, ref)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_im2col_rows_are_wordline_vectors(self, backend, shape):
+        """Row n*OH*OW + i*OW + j is the padded (C, kh, kw) patch under
+        output pixel (i, j) of image n, flattened in crossbar row order."""
+        n, c, h, w, kh, kw, stride, pad = shape
+        x = make_rng(23).normal(size=(n, c, h, w))
+        cols, oh, ow = get_backend(backend).im2col(x, kh, kw, stride, pad)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for ni in range(n):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[ni, :, i * stride:i * stride + kh,
+                               j * stride:j * stride + kw]
+                    np.testing.assert_array_equal(
+                        cols[ni * oh * ow + i * ow + j], patch.ravel())
 
     @pytest.mark.parametrize("backend", OTHER_BACKENDS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_col2im_adjoint(self, backend, shape):
         n, c, h, w, kh, kw, stride, pad = shape
-        oh = (h + 2 * pad - kh) // stride + 1
-        ow = (w + 2 * pad - kw) // stride + 1
-        cols = make_rng(21).normal(size=(n, c * kh * kw, oh * ow))
+        oh, ow = self._out_hw(shape)
+        cols = make_rng(21).normal(size=(n * oh * ow, c * kh * kw))
         ref = get_backend("reference").col2im(
             cols, (n, c, h, w), kh, kw, stride, pad)
         alt = get_backend(backend).col2im(
             cols, (n, c, h, w), kh, kw, stride, pad)
+        assert alt.shape == ref.shape == (n, c, h, w)
         np.testing.assert_allclose(alt, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_col2im_is_im2col_adjoint(self, backend, shape):
+        """<im2col(x), y> == <x, col2im(y)> on the crossbar-row matrix."""
+        n, c, h, w, kh, kw, stride, pad = shape
+        kernels = get_backend(backend)
+        rng = make_rng(24)
+        x = rng.normal(size=(n, c, h, w))
+        cols, _, _ = kernels.im2col(x, kh, kw, stride, pad)
+        y = rng.normal(size=cols.shape)
+        back = kernels.col2im(y, x.shape, kh, kw, stride, pad)
+        np.testing.assert_allclose((cols * y).sum(), (x * back).sum(),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("backend", OTHER_BACKENDS)
     @pytest.mark.parametrize("k,stride", [(2, 2), (3, 1), (3, 2), (2, 3)])

@@ -146,3 +146,30 @@ class TestTraining:
                         max_batches_per_epoch=2)
         history = run_pwt(model, blob_data, cfg, rng=0)
         assert len(history.losses) == 2
+
+    def test_non_finite_loss_raises_before_the_step(self, deployed,
+                                                    blob_data):
+        import repro.obs as obs
+        from repro.data.loaders import Dataset
+        from repro.obs import metrics
+
+        _, model = deployed
+        images = blob_data.images.copy()
+        images[0, 0, 0, 0] = np.nan
+        poisoned = Dataset(images, blob_data.labels)
+        mods = crossbar_modules(model)
+        cfg = PWTConfig(epochs=2, lr=0.5, batch_size=len(images),
+                        analytic_init=False)
+        before = [m.offsets.data.copy() for m in mods]
+        obs.enable()
+        try:
+            obs.reset()
+            with pytest.raises(FloatingPointError, match="epoch 0, batch 0"):
+                run_pwt(model, poisoned, cfg, rng=0)
+            snap = metrics.REGISTRY.snapshot()
+            assert snap["counters"].get("pwt.diverged") == 1
+        finally:
+            obs.reset()
+            obs.disable()
+        for mod, offsets in zip(mods, before):
+            np.testing.assert_array_equal(mod.offsets.data, offsets)

@@ -45,6 +45,25 @@ class TestIm2Col:
         assert (oh, ow) == (2, 2)
         assert cols.shape == (1, 2 * 9, 4)
 
+    @pytest.mark.parametrize("kh,kw,stride,pad",
+                             [(3, 3, 1, 1), (5, 5, 1, 2), (1, 1, 2, 0),
+                              (3, 2, 2, 1)])
+    def test_keeps_per_image_column_layout(self, rng, kh, kw, stride, pad):
+        """F.im2col stays (N, C*kh*kw, OH*OW), bitwise equal to the
+        per-image window unfold: column p of image n is output pixel p's
+        patch in (c, kh, kw) order."""
+        x = rng.normal(size=(2, 3, 7, 6))
+        cols, oh, ow = F.im2col(x, kh, kw, stride, pad)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        expected = np.empty((2, 3, kh, kw, oh, ow))
+        for i in range(kh):
+            for j in range(kw):
+                expected[:, :, i, j] = xp[:, :, i:i + stride * oh:stride,
+                                          j:j + stride * ow:stride]
+        assert cols.shape == (2, 3 * kh * kw, oh * ow)
+        np.testing.assert_array_equal(cols,
+                                      expected.reshape(2, -1, oh * ow))
+
 
 class TestConv2d:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -74,6 +93,27 @@ class TestConv2d:
         out = F.conv2d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data,
                                    naive_conv2d(x, w, None, 1, 0), atol=1e-10)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_channels_last_input_matches_contiguous(self, rng, stride, pad):
+        """A conv's own output layout (an NCHW view over channels-last
+        memory) convolves bitwise like its C-contiguous copy, forward
+        and backward."""
+        w_data = rng.normal(size=(4, 3, 3, 3))
+        first = F.conv2d(Tensor(rng.normal(size=(2, 5, 7, 7))),
+                         Tensor(rng.normal(size=(3, 5, 1, 1)))).data
+        assert not first.flags.c_contiguous
+        assert first.transpose(0, 2, 3, 1).flags.c_contiguous
+
+        def run(x_data):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            y = F.conv2d(x, w, stride=stride, padding=pad)
+            (y * y).sum().backward()
+            return y.data, x.grad, w.grad
+
+        for got, want in zip(run(first), run(np.ascontiguousarray(first))):
+            np.testing.assert_array_equal(got, want)
 
     def test_1x1_conv_is_channel_mix(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
