@@ -2,15 +2,12 @@
 
 Every bench regenerates one paper artifact (a table or figure), prints
 a paper-vs-measured report, and writes it under ``benchmarks/results/``
-so EXPERIMENTS.md can be assembled from the files. Each report now also
-emits a machine-readable ``<name>.json`` sidecar (preset, trials,
-elapsed wall-time, the report lines, structured measured numbers when
-the bench provides them, and the obs metrics snapshot when recording is
-on) so result trajectories can be tracked across commits without
-parsing fixed-width text, and appends a one-line trend row (name,
-elapsed wall-time, git SHA, timestamp) to ``results/history.jsonl`` —
-the append-only log ``tools/bench_diff.py --trend`` reads to flag
-multi-commit slow creep.
+so EXPERIMENTS.md can be assembled from the files. Each report also
+emits a machine-readable ``<name>.json`` sidecar (preset, trials, the
+report lines, structured measured numbers when the bench provides them,
+and the obs metrics snapshot when recording is on) so results can be
+compared across commits without parsing fixed-width text. Speed is
+tracked by ``benchmarks/e2e``, not by these sidecars.
 
 The ``REPRO_BENCH_PRESET`` environment variable selects the workload
 scale: ``quick`` (default — minutes, the sizes CI runs) or ``full``
@@ -31,18 +28,9 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-_T0 = time.perf_counter()
-
 #: Sidecar schema version — bump when the JSON layout changes.
-SIDECAR_SCHEMA = "repro.bench.sidecar/v1"
-
-#: History row schema version (``results/history.jsonl``).
-HISTORY_SCHEMA = "repro.bench.history/v1"
-
-#: Append-only wall-time log, one JSON row per bench run. CI caches it
-#: across builds so ``tools/bench_diff.py --trend`` can flag slow creep
-#: that no single-commit comparison crosses the regression threshold on.
-HISTORY_FILE = RESULTS_DIR / "history.jsonl"
+#: v2: the wall-time field ``elapsed_s`` is gone.
+SIDECAR_SCHEMA = "repro.bench.sidecar/v2"
 
 
 def preset() -> str:
@@ -102,16 +90,13 @@ def _jsonable(value):
     return value
 
 
-def report(name: str, lines, data=None, elapsed_s=None) -> str:
+def report(name: str, lines, data=None) -> str:
     """Print a report; persist ``<name>.txt`` and a ``<name>.json`` sidecar.
 
     ``data`` (optional) is the bench's structured measured numbers —
     a list of row dataclasses/dicts or a mapping; it lands in the
     sidecar unchanged (dataclasses converted to dicts) so downstream
-    tooling never has to parse the fixed-width text. ``elapsed_s``
-    (optional) overrides the recorded wall time — microbenchmarks pass
-    their measured mean so the ``bench-regress`` gate compares kernel
-    time, not process uptime.
+    tooling never has to parse the fixed-width text.
     """
     from repro.obs import enabled as obs_enabled
     from repro.obs import metrics as obs_metrics
@@ -127,8 +112,6 @@ def report(name: str, lines, data=None, elapsed_s=None) -> str:
         "trials": trials(),
         "jobs": jobs(),
         "backend": backend(),
-        "elapsed_s": (float(elapsed_s) if elapsed_s is not None
-                      else time.perf_counter() - _T0),
         "created_unix": time.time(),
         "lines": text.splitlines(),
         "data": _jsonable(data) if data is not None else None,
@@ -136,35 +119,8 @@ def report(name: str, lines, data=None, elapsed_s=None) -> str:
                     if obs_enabled() else None),
     }
     save_json(RESULTS_DIR / f"{name}.json", sidecar)
-    _append_history(sidecar)
     print(f"\n{text}")
     return text
-
-
-def _append_history(sidecar: dict) -> None:
-    """Append one trend row for this run to ``results/history.jsonl``.
-
-    Rows carry only the fields the ``--trend`` gate groups and compares
-    on (plus the git SHA and timestamp that localize a slowdown), so
-    the file stays small enough to cache across hundreds of CI runs.
-    """
-    import json
-
-    from repro.obs.manifest import git_revision
-
-    row = {
-        "schema": HISTORY_SCHEMA,
-        "name": sidecar["name"],
-        "preset": sidecar["preset"],
-        "backend": sidecar["backend"],
-        "jobs": sidecar["jobs"],
-        "trials": sidecar["trials"],
-        "elapsed_s": sidecar["elapsed_s"],
-        "git_sha": git_revision(),
-        "created_unix": sidecar["created_unix"],
-    }
-    with open(HISTORY_FILE, "a") as fh:
-        fh.write(json.dumps(row) + "\n")
 
 
 def fmt_pct(x: float) -> str:

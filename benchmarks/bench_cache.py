@@ -3,11 +3,10 @@
 Runs the noise-independent preparation of a Fig. 5-style sweep (every
 method at two granularities) twice against one artifact store. The
 first pass is cold — every stage computes and writes; the second is
-warm — every stage should replay from disk. Two sidecars
-(``cache_cold.json`` / ``cache_warm.json``) land in the bench-regress
-gate, each carrying the per-stage span-time breakdown and the cache
-hit/miss counters for its state, so a regression in either the compute
-path or the replay path is caught separately.
+warm — every stage should replay from disk. Two reports
+(``cache_cold`` / ``cache_warm``) each carry the per-stage span-time
+breakdown and the cache hit/miss counters for its state, so the compute
+path and the replay path can be read separately.
 
 The reproducible claim: warm construction is at least 5x faster than
 cold (the acceptance floor; in practice it is far higher), while both
@@ -93,10 +92,9 @@ def run():
                          f"(acceptance floor: 5x)")
         report(f"cache_{state}", lines,
                data={"state": state, "sweep_points": grid,
-                     "stages": stages, "cache_counters": counters,
+                     "total_s": elapsed, "stages": stages, "cache_counters": counters,
                      "speedup_over_cold": (speedup if state == "warm"
-                                           else None)},
-               elapsed_s=elapsed)
+                                           else None)})
     return cold_s, warm_s
 
 

@@ -2,21 +2,17 @@
 
 These are classic pytest-benchmark targets (many rounds, statistical
 timing) for the hot paths: device programming, the VAWO solver, the
-bit-accurate engine, and a crossbar-layer forward pass. They guard
-against performance regressions rather than reproducing a paper number.
+bit-accurate engine, and a crossbar-layer forward pass. They show where
+a kernel change moves time rather than reproducing a paper number; the
+gated speed numbers come from ``benchmarks/e2e``.
 
 The engine and conv kernels run once per registered compute backend
-(``reference`` and ``vectorized``); each (kernel, backend) pair writes
-a ``kernels-<kernel>-<backend>.json`` sidecar whose ``elapsed_s`` is
-the measured mean, so the ``bench-regress`` gate tracks every kernel
-set independently. Non-reference sidecars record
-``speedup_vs_reference``.
+(``reference`` and ``vectorized``), so pytest-benchmark's table compares
+the two kernel sets side by side.
 """
 
 import pytest
 import numpy as np
-
-from _common import report
 
 from repro.backend import use_backend
 from repro.core.offsets import OffsetPlan
@@ -30,27 +26,6 @@ from repro.xbar.engine import CrossbarEngine
 from repro.utils.rng import make_rng
 
 BACKENDS = ("reference", "vectorized")
-
-#: Mean seconds per (kernel, backend), for the speedup sidecar fields.
-_MEANS = {}
-
-
-def _record(benchmark, kernel: str, backend: str) -> None:
-    """Write the per-(kernel, backend) sidecar from the measured mean."""
-    stats = getattr(benchmark, "stats", None)
-    if stats is None:                      # --benchmark-disable run
-        return
-    mean = stats.stats.mean
-    _MEANS[(kernel, backend)] = mean
-    data = {"kernel": kernel, "backend": backend, "mean_s": mean}
-    note = ""
-    ref = _MEANS.get((kernel, "reference"))
-    if backend != "reference" and ref:
-        data["speedup_vs_reference"] = ref / mean
-        note = f"  ({ref / mean:.1f}x vs reference)"
-    report(f"kernels-{kernel}-{backend}",
-           [f"{kernel} [{backend}]: mean {mean * 1e3:.3f} ms" + note],
-           data=data, elapsed_s=mean)
 
 
 def test_device_programming_128x128(benchmark):
@@ -93,10 +68,9 @@ def test_bit_accurate_engine_forward(benchmark, backend):
     x = rng.uniform(0, 1, size=(16, 128))
     # One warmup round so every backend's one-time setup (cached packed
     # operands, einsum path caches) is excluded from the steady-state
-    # mean the regress gate tracks.
+    # mean.
     benchmark.pedantic(engine.forward, args=(x,), rounds=3, iterations=1,
                        warmup_rounds=1)
-    _record(benchmark, "engine-forward", backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -109,7 +83,6 @@ def test_conv2d_float_forward(benchmark, backend):
         benchmark.pedantic(F.conv2d, args=(x, w),
                            kwargs=dict(stride=1, padding=1),
                            rounds=3, iterations=1)
-    _record(benchmark, "conv2d-float", backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -138,7 +111,6 @@ def test_conv_via_crossbar_engine(benchmark, backend):
 
     benchmark.pedantic(conv_on_crossbar, rounds=3, iterations=1,
                        warmup_rounds=1)
-    _record(benchmark, "conv-engine", backend)
 
 
 def test_crossbar_layer_forward(benchmark):

@@ -31,8 +31,9 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 2,      # trained workload weights (eval.experiments)
+    "workload": 3,      # trained workload weights (eval.experiments)
                         # v2: GEMM conv sums in a new order (last bits)
+                        # v3: NaN-loss guard (no finite result changes)
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
     "calibrate": 2,     # per-layer input activation peaks (core.pipeline)

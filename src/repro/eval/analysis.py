@@ -17,7 +17,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.crossbar_layers import _CrossbarBase
-from repro.core.pipeline import Deployer
 from repro.nn.module import Module
 
 
@@ -99,13 +98,3 @@ def render_markdown(stats: List[LayerErrorStats],
             f"| {s.max_abs_error:.0f} | {s.offset_magnitude:.1f} "
             f"| {s.complement_fraction:.0%} |")
     return "\n".join(lines)
-
-
-def compare_deployments(deployer: Deployer, rng_seed: int = 0
-                        ) -> List[List[LayerErrorStats]]:
-    """Analyse several programming cycles of the same deployer."""
-    out = []
-    for trial in range(3):
-        deployed = deployer.program(rng=rng_seed + trial)
-        out.append(analyze_deployment(deployed))
-    return out

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Kaiming / Xavier)."""
+"""Weight initialisation (Kaiming/He normal)."""
 
 from __future__ import annotations
 
@@ -12,17 +12,3 @@ def kaiming_normal(shape, fan_in: int, rng: RngLike = None) -> np.ndarray:
     rng = make_rng(rng)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape, fan_in: int, rng: RngLike = None) -> np.ndarray:
-    """He-uniform init: U(-b, b) with b = sqrt(6 / fan_in)."""
-    rng = make_rng(rng)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: RngLike = None) -> np.ndarray:
-    """Glorot-uniform init: U(-b, b) with b = sqrt(6 / (fan_in + fan_out))."""
-    rng = make_rng(rng)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)

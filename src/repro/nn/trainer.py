@@ -52,6 +52,10 @@ def train_classifier(model: Module, train_data: Dataset,
 
     Uses Adam by default. ``eval_data`` (if given) is scored after every
     epoch; otherwise the training set is scored.
+
+    Raises ``FloatingPointError`` (and counts ``train.diverged``) on the
+    first batch whose loss is not finite, before it reaches the
+    optimizer.
     """
     rng = make_rng(rng)
     optimizer = optimizer or Adam(model.parameters(), lr=lr)
@@ -61,13 +65,19 @@ def train_classifier(model: Module, train_data: Dataset,
         model.train()
         losses = []
         with span("train.epoch", epoch=epoch):
-            for images, labels in iterate_batches(train_data, batch_size,
-                                                  rng=rng):
+            for batch_idx, (images, labels) in enumerate(
+                    iterate_batches(train_data, batch_size, rng=rng)):
                 optimizer.zero_grad()
                 loss = F.cross_entropy(model(Tensor(images)), labels)
+                value = loss.item()
+                if not np.isfinite(value):
+                    obs_metrics.inc("train.diverged")
+                    raise FloatingPointError(
+                        f"training loss is {value} at epoch {epoch}, batch "
+                        f"{batch_idx}; the weights were not updated by it")
                 loss.backward()
                 optimizer.step()
-                losses.append(loss.item())
+                losses.append(value)
             acc = evaluate_accuracy(model, score_data)
         result.epoch_losses.append(float(np.mean(losses)))
         result.epoch_accuracies.append(acc)

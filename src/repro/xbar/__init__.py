@@ -5,10 +5,9 @@ from repro.xbar.arch import (OneCrossbarScheme, SchemeCost, TwoCrossbarScheme,
                              normalized_crossbar_number)
 from repro.xbar.engine import CrossbarEngine
 from repro.xbar.mapper import CrossbarMapper, TileSpec, layer_matrix_shape
-from repro.xbar.tiled import TiledCrossbarEngine
 
 __all__ = [
-    "ADC", "CrossbarEngine", "TiledCrossbarEngine",
+    "ADC", "CrossbarEngine",
     "CrossbarMapper", "TileSpec", "layer_matrix_shape",
     "OneCrossbarScheme", "TwoCrossbarScheme", "SchemeCost",
     "normalized_crossbar_number",

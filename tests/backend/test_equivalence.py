@@ -4,11 +4,10 @@ The ``reference`` backend is the original code moved verbatim and acts
 as the correctness oracle; the sweep below drives every other
 registered backend (``vectorized``, …) over dense engines (ideal and
 finite-resolution ADC, complemented offset groups, partial last
-groups, boolean-masked rows), the conv/pooling window kernels (odd
-shapes, stride, padding) and the tiled multi-crossbar engine. Engine
-and conv outputs must agree within rtol/atol 1e-9, col2im within
-1e-12, and im2col (the channels-last crossbar-row matrix) and the
-pooling windows bitwise.
+groups, boolean-masked rows) and the conv/pooling window kernels (odd
+shapes, stride, padding). Engine and conv outputs must agree within
+rtol/atol 1e-9, col2im within 1e-12, and im2col (the channels-last
+crossbar-row matrix) and the pooling windows bitwise.
 """
 
 import numpy as np
@@ -24,8 +23,6 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
-from repro.xbar.mapper import CrossbarMapper
-from repro.xbar.tiled import TiledCrossbarEngine
 
 OTHER_BACKENDS = [n for n in available_backends() if n != "reference"]
 
@@ -252,29 +249,3 @@ class TestLayerOps:
             y_alt, g_alt = run()
         np.testing.assert_array_equal(y_alt, y_ref)
         np.testing.assert_array_equal(g_alt, g_ref)
-
-
-class TestTiledEngine:
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    @pytest.mark.parametrize("adc", [None, ADC(bits=8, full_scale=128.0)],
-                             ids=["ideal-adc", "8bit-adc"])
-    def test_tiled_matches_reference(self, backend, adc):
-        rng = make_rng(40)
-        rows, cols, m = 200, 40, 16
-        device = DeviceModel(MLC2, VariationModel(0.4), n_bits=8)
-        plan = OffsetPlan(rows, cols, m)
-        values = rng.integers(0, 256, size=(rows, cols))
-        cells = device.program_cells(values, rng)
-        registers = rng.integers(-20, 20,
-                                 size=(plan.n_groups, cols)).astype(float)
-        complement = rng.random((plan.n_groups, cols)) > 0.5
-        common = dict(cells=cells, plan=plan, registers=registers,
-                      complement=complement, cell=MLC2, weight_scale=0.01,
-                      weight_zero_point=128, input_scale=1 / 255, adc=adc,
-                      mapper=CrossbarMapper(size=128,
-                                            cells_per_weight=cells.shape[-1]))
-        ref = TiledCrossbarEngine(backend="reference", **common)
-        alt = TiledCrossbarEngine(backend=backend, **common)
-        x = rng.uniform(0, 1, size=(4, rows))
-        np.testing.assert_allclose(alt.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)

@@ -37,6 +37,30 @@ class TestTrainClassifier:
                                   optimizer=opt, rng=1)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
+    def test_non_finite_loss_raises_before_the_step(self, blob_data):
+        import repro.obs as obs
+        from repro.data.loaders import Dataset
+        from repro.obs import metrics
+
+        model = TinyMLP(rng=make_rng(0))
+        images = blob_data.images.copy()
+        images[3, 0] = np.nan
+        poisoned = Dataset(images, blob_data.labels)
+        before = [p.data.copy() for p in model.parameters()]
+        obs.enable()
+        try:
+            obs.reset()
+            with pytest.raises(FloatingPointError, match="epoch 0, batch 0"):
+                train_classifier(model, poisoned, epochs=2,
+                                 batch_size=len(images), rng=1)
+            snap = metrics.REGISTRY.snapshot()
+            assert snap["counters"].get("train.diverged") == 1
+        finally:
+            obs.reset()
+            obs.disable()
+        for param, data in zip(model.parameters(), before):
+            np.testing.assert_array_equal(param.data, data)
+
     def test_empty_result_nan(self):
         assert np.isnan(TrainResult().final_accuracy)
 

@@ -1,265 +1,215 @@
-"""The benchmark-regression gate (``python -m tools.bench_diff``)."""
+"""The parent-vs-change benchmark gate (``python -m tools.bench_diff``)."""
 
 import json
 
 import pytest
 
-from tools.bench_diff import (HISTORY_SCHEMA, SIDECAR_SCHEMA, compare,
-                              load_history, load_sidecars, main, run_diff,
-                              run_trend, trend_verdicts)
+import tools.bench_diff as bench_diff
+from tools.bench_diff import compare, load_runs, main, run_diff
+
+#: A healthy run's end-to-end values, one per BENCHMARK.json metric.
+BASE = {"setup_s": 1.0, "latency_p50_ms": 10.0, "latency_tail_ms": 20.0,
+        "throughput_per_s": 1000.0, "peak_rss_mb": 100.0}
+
+SPECS = json.loads(bench_diff.BENCHMARK.read_text())["end_to_end"]
 
 
-def write_sidecar(directory, name, elapsed_s, schema=SIDECAR_SCHEMA,
-                  backend=None, **extra):
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": schema, "name": name, "preset": "quick",
-               "elapsed_s": elapsed_s, **extra}
-    if backend is not None:
-        payload["backend"] = backend
-    (directory / f"{name}.json").write_text(json.dumps(payload))
+def write_run(path, workloads=None, correct=True, failed=0, attempted=100):
+    """One ``results.json``; ``workloads`` maps a name to metric overrides."""
+    workloads = {"serve-lenet": {}} if workloads is None else workloads
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "results.json").write_text(json.dumps({
+        "schema": "repro.bench.e2e/v1",
+        "workloads": {name: {"e2e": {**BASE, **overrides},
+                             "correct": correct, "failed": failed,
+                             "attempted": attempted}
+                      for name, overrides in workloads.items()}}))
 
 
-def gate(tmp_path, **kwargs):
-    args = dict(baseline_dir=tmp_path / "base", current_dir=tmp_path / "cur",
-                max_slowdown=1.5, min_baseline_s=2.0,
-                require_baseline=False)
-    args.update(kwargs)
-    return run_diff(**args)
+def write_side(directory, series, workload="serve-lenet", **kwargs):
+    """Runs ``run0``, ``run1``, ... under ``directory``, one per entry of
+    ``series`` (metric overrides for ``workload``)."""
+    for i, overrides in enumerate(series):
+        write_run(directory / f"run{i}", {workload: overrides}, **kwargs)
+
+
+def gate(tmp_path):
+    return run_diff(tmp_path / "parent", tmp_path / "change")
+
+
+def three(metric, *values):
+    return [{metric: v} for v in values]
 
 
 class TestLoadSidecars:
     def test_parses_and_skips_foreign_json(self, tmp_path):
-        write_sidecar(tmp_path, "fig5a", 10.0)
-        (tmp_path / "notes.json").write_text(json.dumps({"foo": 1}))
-        (tmp_path / "broken.json").write_text("{nope")
-        write_sidecar(tmp_path, "other", 1.0, schema="something/else")
-        entries = load_sidecars(tmp_path)
-        assert set(entries) == {"fig5a"}
-        assert entries["fig5a"].elapsed_s == 10.0
+        write_run(tmp_path / "run0")
+        (tmp_path / "run0" / "notes.json").write_text("{not json")
+        (tmp_path / "trajectory.json").write_text(json.dumps({"foo": 1}))
+        runs = load_runs(tmp_path)
+        assert len(runs) == 1
+        assert runs[0]["serve-lenet"]["e2e"] == BASE
 
     def test_recurses(self, tmp_path):
-        write_sidecar(tmp_path / "nested", "fig5a", 3.0)
-        assert set(load_sidecars(tmp_path)) == {"fig5a"}
+        write_run(tmp_path / "parent" / "a" / "run0")
+        write_run(tmp_path / "parent" / "run1")
+        assert len(load_runs(tmp_path / "parent")) == 2
 
 
 class TestCompare:
     def test_worst_first_and_flags(self, tmp_path):
-        base = {"a": 10.0, "b": 10.0, "tiny": 0.5}
-        cur = {"a": 12.0, "b": 20.0, "tiny": 50.0}
-        write = lambda d, entries: [write_sidecar(d, n, s)  # noqa: E731
-                                    for n, s in entries.items()]
-        write(tmp_path / "base", base)
-        write(tmp_path / "cur", cur)
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert [c.name for c in comps] == ["tiny", "b", "a"]
-        by = {c.name: c for c in comps}
-        assert by["a"].regressed is False
-        assert by["b"].regressed is True and by["b"].ratio == 2.0
-        # Sub-floor baselines never gate, however bad the ratio looks.
-        assert by["tiny"].skipped_short and not by["tiny"].regressed
-
-
-class TestBackendGating:
-    def one_comparison(self, tmp_path, base_backend, cur_backend,
-                       **base_extra):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend=base_backend, **base_extra)
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend=cur_backend)
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(comps) == 1
-        return comps[0]
-
-    def test_backend_mismatch_never_regresses(self, tmp_path):
-        c = self.one_comparison(tmp_path, "vectorized", "reference")
-        assert c.skipped_backend and not c.regressed
-
-    def test_same_backend_still_gates(self, tmp_path):
-        c = self.one_comparison(tmp_path, "vectorized", "vectorized")
-        assert not c.skipped_backend and c.regressed
-
-    def test_same_offload_tier_still_gates(self, tmp_path):
-        # Legacy sidecars may still carry an offload_tier field; it is
-        # ignored, so they parse and gate as before.
-        c = self.one_comparison(tmp_path, "vectorized", "vectorized",
-                                offload_tier="blas")
-        assert not c.skipped_backend and c.regressed
-
-    def test_untiered_sidecars_compare_with_tiered(self, tmp_path):
-        # A current run without the legacy field still gates against a
-        # baseline that has it, and the other way round.
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="vectorized")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="vectorized", offload_tier="numba")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert not comps[0].skipped_backend and comps[0].regressed
-
-    def test_untagged_sidecars_compare_with_anything(self, tmp_path):
-        # Pre-upgrade baselines lack the backend field; they must keep
-        # gating rather than silently skipping every comparison.
-        for base_backend, cur_backend in ((None, "reference"),
-                                          ("vectorized", None),
-                                          (None, None)):
-            c = self.one_comparison(tmp_path, base_backend, cur_backend)
-            assert not c.skipped_backend and c.regressed
-
-    def test_gate_passes_on_backend_switch(self, tmp_path, capsys):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="vectorized")
-        write_sidecar(tmp_path / "cur", "fig5a", 99.0,
-                      backend="reference")
-        assert gate(tmp_path) == 0
-        assert "backend-skip" in capsys.readouterr().out
+        write_side(tmp_path / "p", [{}, {}, {}])
+        # setup_s: +50%, every run worse (REGRESSED); latency_tail_ms:
+        # +40% median but one change run beats a parent run (unresolved);
+        # throughput: 10% lower, under the bound (ok).
+        write_side(tmp_path / "c", [
+            {"setup_s": 1.5, "latency_tail_ms": 28.0,
+             "throughput_per_s": 900.0},
+            {"setup_s": 1.6, "latency_tail_ms": 19.0,
+             "throughput_per_s": 900.0},
+            {"setup_s": 1.4, "latency_tail_ms": 29.0,
+             "throughput_per_s": 900.0}])
+        rows, new = compare(load_runs(tmp_path / "p"),
+                            load_runs(tmp_path / "c"), SPECS)
+        assert new == []
+        assert [r.metric for r in rows[:2]] == ["setup_s", "latency_tail_ms"]
+        by = {r.metric: r for r in rows}
+        assert by["setup_s"].verdict == "REGRESSED"
+        assert by["setup_s"].worse == pytest.approx(0.5)
+        assert by["latency_tail_ms"].verdict == "unresolved"
+        assert by["throughput_per_s"].verdict == "ok"
+        assert by["throughput_per_s"].worse == pytest.approx(0.1)
+        assert by["peak_rss_mb"].worse == 0.0
 
 
 class TestGate:
-    def test_ok_run_passes(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
-        write_sidecar(tmp_path / "cur", "fig5a", 12.0)
+    def test_ok_run_passes(self, tmp_path, capsys):
+        write_side(tmp_path / "parent", three("latency_p50_ms", 10, 11, 9))
+        write_side(tmp_path / "change", three("latency_p50_ms", 11, 12, 10))
         assert gate(tmp_path) == 0
+        assert "OK" in capsys.readouterr().out
 
-    def test_regression_fails(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
-        write_sidecar(tmp_path / "cur", "fig5a", 20.0)
+    def test_regression_fails(self, tmp_path, capsys):
+        # Lower is better: the change's latency is 50% up in every run.
+        write_side(tmp_path / "parent", three("latency_p50_ms", 10, 11, 9))
+        write_side(tmp_path / "change", three("latency_p50_ms", 15, 16, 14))
         assert gate(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSED" in out and "serve-lenet/latency_p50_ms" in out
 
-    def test_missing_baseline_passes_by_default(self, tmp_path):
-        write_sidecar(tmp_path / "cur", "fig5a", 20.0)
+    def test_higher_is_better_regression_fails(self, tmp_path, capsys):
+        write_side(tmp_path / "parent",
+                   three("throughput_per_s", 1000, 1100, 950))
+        write_side(tmp_path / "change",
+                   three("throughput_per_s", 600, 700, 650))
+        assert gate(tmp_path) == 1
+        assert "+35.0%" in capsys.readouterr().out     # (1000 - 650) / 1000
+        # The same move upwards is a gain, never a regression.
+        assert run_diff(tmp_path / "change", tmp_path / "parent") == 0
+
+    def test_overlapping_runs_are_unresolved(self, tmp_path, capsys):
+        # The change's median is 40% worse, but its best run beats the
+        # parent's worst: too noisy to call, so it is printed, not failed.
+        write_side(tmp_path / "parent", three("latency_p50_ms", 10, 10, 13))
+        write_side(tmp_path / "change", three("latency_p50_ms", 14, 12, 15))
         assert gate(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "unresolved" in out and "REGRESSED" not in out
+
+    def test_raised_limit_tolerates_slowdown(self, tmp_path, monkeypatch):
+        # Bounds are per metric and come from BENCHMARK.json: a clean 15%
+        # slowdown passes a timing metric's 0.24 bound but fails the
+        # 0.1 bound of peak_rss_mb, until that bound is raised.
+        bounds = {s["name"]: s["bound"] for s in SPECS}
+        assert bounds["latency_p50_ms"] > 0.15 > bounds["peak_rss_mb"]
+        write_side(tmp_path / "parent", [{}, {}, {}])
+        write_side(tmp_path / "change",
+                   three("latency_p50_ms", 11.5, 11.5, 11.5))
+        assert gate(tmp_path) == 0
+        write_side(tmp_path / "change", three("peak_rss_mb", 115, 115, 115))
+        assert gate(tmp_path) == 1
+        raised = tmp_path / "BENCHMARK.json"
+        raised.write_text(json.dumps({"end_to_end": [
+            dict(s, bound=0.2) for s in SPECS]}))
+        monkeypatch.setattr(bench_diff, "BENCHMARK", raised)
+        assert gate(tmp_path) == 0
+
+    def test_larger_failed_share_fails(self, tmp_path, capsys):
+        write_side(tmp_path / "parent", [{}, {}, {}], failed=1,
+                   attempted=1000)
+        write_side(tmp_path / "change", [{}, {}, {}], failed=1,
+                   attempted=1000)
+        assert gate(tmp_path) == 0
+        write_side(tmp_path / "change", [{}, {}, {}], failed=2,
+                   attempted=1000)
+        assert gate(tmp_path) == 1
+        assert "failed share grew" in capsys.readouterr().out
+
+    def test_incorrect_change_run_fails(self, tmp_path, capsys):
+        write_side(tmp_path / "parent", [{}, {}, {}])
+        write_side(tmp_path / "change", [{}, {}, {}])
+        write_run(tmp_path / "change" / "run1", correct=False)
+        assert gate(tmp_path) == 1
+        assert "correct: false" in capsys.readouterr().out
+        # An incorrect parent run does not fail the change.
+        assert run_diff(tmp_path / "change", tmp_path / "parent") == 0
 
     def test_missing_baseline_fails_when_required(self, tmp_path):
-        write_sidecar(tmp_path / "cur", "fig5a", 20.0)
-        assert gate(tmp_path, require_baseline=True) == 2
-
-    def test_empty_baseline_dir_passes_by_default(self, tmp_path):
-        (tmp_path / "base").mkdir()
-        write_sidecar(tmp_path / "cur", "fig5a", 20.0)
-        assert gate(tmp_path) == 0
-        assert gate(tmp_path, require_baseline=True) == 2
+        # The gate always builds its own parent runs, so a missing
+        # parent directory is a usage error, never a pass.
+        write_side(tmp_path / "change", [{}])
+        assert gate(tmp_path) == 2
 
     def test_missing_current_is_an_error(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
+        write_side(tmp_path / "parent", [{}])
+        assert gate(tmp_path) == 2
+
+    def test_empty_dir_is_an_error(self, tmp_path):
+        write_side(tmp_path / "parent", [{}])
+        (tmp_path / "change").mkdir()
+        assert gate(tmp_path) == 2
+
+    @pytest.mark.parametrize("payload", [
+        "{torn", "[]", json.dumps({"workloads": []}),
+        json.dumps({"workloads": {"serve-lenet": {"e2e": {"setup_s": None}}}}),
+    ], ids=["broken-json", "not-an-object", "workloads-list", "null-value"])
+    def test_malformed_results_is_an_error(self, tmp_path, payload):
+        write_side(tmp_path / "parent", [{}])
+        write_side(tmp_path / "change", [{}])
+        (tmp_path / "change" / "run0" / "results.json").write_text(payload)
         assert gate(tmp_path) == 2
 
     def test_new_and_removed_benches_do_not_gate(self, tmp_path, capsys):
-        write_sidecar(tmp_path / "base", "gone", 10.0)
-        write_sidecar(tmp_path / "cur", "fresh", 10.0)
+        write_run(tmp_path / "parent" / "run0", {"gone": {}})
+        write_run(tmp_path / "change" / "run0",
+                  {"fresh": {"latency_p50_ms": 1e6}})
         assert gate(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "fresh" in out and "gone" in out
-
-    def test_raised_limit_tolerates_slowdown(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
-        write_sidecar(tmp_path / "cur", "fig5a", 20.0)
-        assert gate(tmp_path, max_slowdown=3.0) == 0
-
-
-def history_rows(elapsed, name="fig5a", preset="quick",
-                 backend="vectorized"):
-    return [{"schema": HISTORY_SCHEMA, "name": name, "preset": preset,
-             "backend": backend, "elapsed_s": e, "git_sha": f"sha{i}",
-             "created_unix": 1000.0 + i}
-            for i, e in enumerate(elapsed)]
-
-
-def write_history(tmp_path, rows):
-    path = tmp_path / "history.jsonl"
-    with open(path, "a") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    return path
-
-
-def trend(tmp_path, rows, **kwargs):
-    args = dict(window=4, step_ratio=1.02, max_slowdown=1.5,
-                min_baseline_s=2.0)
-    args.update(kwargs)
-    return run_trend(write_history(tmp_path, rows), **args)
-
-
-class TestTrendGate:
-    def test_monotonic_creep_fails(self, tmp_path, capsys):
-        # Each step is ~1.16x — far under the 1.5x pairwise limit — but
-        # the cumulative drift is 1.57x: exactly the blind spot.
-        assert trend(tmp_path, history_rows([10.0, 11.6, 13.5, 15.7])) == 1
-        out = capsys.readouterr().out
-        assert "TRENDING UP" in out and "sha0" in out
-
-    def test_single_step_regression_does_not_trend(self, tmp_path):
-        # One bad commit is the pairwise gate's job, not a trend.
-        assert trend(tmp_path, history_rows([10.0, 10.0, 10.0, 17.0])) == 0
-
-    def test_dip_breaks_the_trend(self, tmp_path):
-        assert trend(tmp_path, history_rows([10.0, 11.6, 9.0, 15.7])) == 0
-
-    def test_cumulative_under_limit_passes(self, tmp_path):
-        assert trend(tmp_path, history_rows([10.0, 10.4, 10.9, 11.4])) == 0
-
-    def test_short_series_passes(self, tmp_path):
-        assert trend(tmp_path, history_rows([10.0, 16.0])) == 0
-
-    def test_sub_floor_series_never_flags(self, tmp_path):
-        assert trend(tmp_path, history_rows([0.10, 0.15, 0.22, 0.40])) == 0
-
-    def test_only_trailing_window_considered(self, tmp_path):
-        # Ancient creep followed by a stable plateau must not flag.
-        rows = history_rows([5.0, 7.0, 10.0, 15.0, 15.0, 15.0, 15.0])
-        assert trend(tmp_path, rows) == 0
-
-    def test_series_split_by_preset_and_backend(self, tmp_path):
-        # A preset or backend switch mid-history starts a new series —
-        # the scale jump must not read as a slowdown.
-        rows = (history_rows([10.0, 10.0]) +
-                history_rows([40.0, 41.0], preset="full") +
-                history_rows([90.0, 91.0], backend="reference"))
-        # A legacy offload_tier field does not split a series.
-        rows[0]["offload_tier"] = "blas"
-        verdicts = trend_verdicts(rows, window=4, step_ratio=1.02,
-                                  max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(verdicts) == 3
-        assert not any(v.flagged for v in verdicts)
-
-    def test_missing_history_passes(self, tmp_path):
-        assert run_trend(tmp_path / "absent.jsonl", window=4,
-                         step_ratio=1.02, max_slowdown=1.5,
-                         min_baseline_s=2.0) == 0
-
-    def test_malformed_and_foreign_lines_skipped(self, tmp_path):
-        path = write_history(tmp_path, history_rows([10.0, 11.0]))
-        with open(path, "a") as fh:
-            fh.write("{torn\n")
-            fh.write(json.dumps({"schema": "other/v1", "name": "x"}) + "\n")
-            fh.write(json.dumps({"schema": HISTORY_SCHEMA,
-                                 "name": "bad"}) + "\n")
-        rows = load_history(path)
-        assert len(rows) == 2
-        assert all(r["name"] == "fig5a" for r in rows)
+        assert "fresh/latency_p50_ms: new" in out
+        assert "gone: in the parent runs only" in out
 
 
 class TestMain:
     def run_main(self, tmp_path, *extra):
-        return main(["--baseline", str(tmp_path / "base"),
-                     "--current", str(tmp_path / "cur"), *extra])
+        return main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                     *extra])
 
     def test_cli_roundtrip(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
-        write_sidecar(tmp_path / "cur", "fig5a", 11.0)
+        write_side(tmp_path / "parent", three("setup_s", 1.0, 1.1, 0.9))
+        write_side(tmp_path / "change", three("setup_s", 1.0, 1.05, 0.95))
         assert self.run_main(tmp_path) == 0
-        write_sidecar(tmp_path / "cur", "fig5a", 99.0)
-        assert self.run_main(tmp_path, "--max-slowdown", "1.5") == 1
+        write_side(tmp_path / "change", three("setup_s", 2.0, 2.1, 1.9))
+        assert self.run_main(tmp_path) == 1
 
     def test_invalid_flags_rejected(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0)
-        write_sidecar(tmp_path / "cur", "fig5a", 10.0)
-        assert self.run_main(tmp_path, "--max-slowdown", "0") == 2
-        assert self.run_main(tmp_path, "--min-baseline-s", "-1") == 2
+        # The gate has no tuning flags: bounds live in BENCHMARK.json.
+        write_side(tmp_path / "parent", [{}])
+        write_side(tmp_path / "change", [{}])
+        for flag in (["--max-slowdown", "1.5"], ["--min-baseline-s", "2"],
+                     ["--require-baseline"], ["--trend", "history.jsonl"]):
+            with pytest.raises(SystemExit) as exc:
+                self.run_main(tmp_path, *flag)
+            assert exc.value.code == 2
 
     def test_required_args(self):
         with pytest.raises(SystemExit):
@@ -267,60 +217,32 @@ class TestMain:
 
     def test_baseline_without_current_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["--baseline", str(tmp_path)])
-
-    def test_trend_alone(self, tmp_path):
-        path = write_history(tmp_path, history_rows([10.0, 11.6, 13.5,
-                                                     15.7]))
-        assert main(["--trend", str(path)]) == 1
-        assert main(["--trend", str(path), "--trend-window", "3",
-                     "--max-slowdown", "2.0"]) == 0
-
-    def test_trend_window_floor(self, tmp_path):
-        path = write_history(tmp_path, history_rows([10.0]))
-        assert main(["--trend", str(path), "--trend-window", "2"]) == 2
-
-    def test_pairwise_and_trend_compose(self, tmp_path):
-        # Pairwise passes (1.16x step) but the trend catches the creep.
-        write_sidecar(tmp_path / "base", "fig5a", 13.5)
-        write_sidecar(tmp_path / "cur", "fig5a", 15.7)
-        path = write_history(tmp_path, history_rows([10.0, 11.6, 13.5,
-                                                     15.7]))
-        assert self.run_main(tmp_path) == 0
-        assert self.run_main(tmp_path, "--trend", str(path)) == 1
+            main([str(tmp_path)])
 
 
-class TestHistoryAppend:
-    """benchmarks/_common.py writes rows the --trend gate reads back."""
+class TestBenchReport:
+    """benchmarks/_common.report writes a text report and a data sidecar,
+    with no wall-time field and no history log."""
 
-    def _load_common(self, tmp_path, monkeypatch):
+    def test_report_writes_text_and_data_sidecar(self, tmp_path,
+                                                  monkeypatch, capsys):
         import importlib.util
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
         spec = importlib.util.spec_from_file_location(
             "_bench_common_under_test", root / "benchmarks/_common.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
-        monkeypatch.setattr(module, "HISTORY_FILE",
-                            tmp_path / "history.jsonl")
-        return module
-
-    def test_report_appends_history_row(self, tmp_path, monkeypatch,
-                                        capsys):
-        common = self._load_common(tmp_path, monkeypatch)
-        common.report("fig5a", ["line one"], elapsed_s=10.0)
-        common.report("fig5a", ["line two"], elapsed_s=11.0)
+        common = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(common)
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        common.report("fig5a", ["line one"], data={"acc": 0.5})
         capsys.readouterr()
-        rows = load_history(tmp_path / "history.jsonl")
-        assert [r["elapsed_s"] for r in rows] == [10.0, 11.0]
-        row = rows[0]
-        assert row["schema"] == HISTORY_SCHEMA
-        assert row["name"] == "fig5a" and row["preset"] == "quick"
-        assert set(row) >= {"backend", "jobs", "trials", "git_sha",
-                            "created_unix"}
-        # The rows feed straight into the trend gate.
-        verdicts = trend_verdicts(rows, window=4, step_ratio=1.02,
-                                  max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(verdicts) == 1 and not verdicts[0].flagged
+        assert (tmp_path / "fig5a.txt").read_text() == "line one\n"
+        sidecar = json.loads((tmp_path / "fig5a.json").read_text())
+        assert sidecar["schema"] == common.SIDECAR_SCHEMA
+        assert sidecar["data"] == {"acc": 0.5}
+        assert "elapsed_s" not in sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig5a.json", "fig5a.txt"]
+        with pytest.raises(TypeError):
+            common.report("fig5a", ["x"], elapsed_s=1.0)
