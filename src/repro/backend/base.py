@@ -222,7 +222,10 @@ class KernelBackend(abc.ABC):
         return self._col2im(cols, x_shape, kh, kw, stride, pad)
 
     def pool_windows(self, x: np.ndarray, k: int, stride: int) -> np.ndarray:
-        """View ``x`` (N, C, H, W) as pooling windows (N, C, k*k, OH, OW)."""
+        """View ``x`` (N, C, H, W) as pooling windows (N, C, k, k, OH, OW):
+        ``windows[:, :, i, j]`` is tap (i, j) of every window, i.e.
+        ``x[:, :, i::stride, j::stride]`` cut to (OH, OW). Read-only; it
+        may alias ``x``."""
         obs_metrics.inc(f"backend.{self.name}.pool_windows")
         return self._pool_windows(x, k, stride)
 

@@ -78,18 +78,17 @@ class ReferenceBackend(KernelBackend):
 
     def _pool_windows(self, x: np.ndarray, k: int,
                       stride: int) -> np.ndarray:
-        """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW)."""
+        """Copy ``x`` (N, C, H, W) into windows (N, C, k, k, OH, OW)."""
         n, c, h, w = x.shape
         oh = (h - k) // stride + 1
         ow = (w - k) // stride + 1
-        windows = np.empty((n, c, k * k, oh, ow), dtype=x.dtype)
-        idx = 0
+        windows = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
         for i in range(k):
             i_end = i + stride * oh
             for j in range(k):
                 j_end = j + stride * ow
-                windows[:, :, idx] = x[:, :, i:i_end:stride, j:j_end:stride]
-                idx += 1
+                windows[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
+        windows.flags.writeable = False
         return windows
 
     # ------------------------------------------------------------------

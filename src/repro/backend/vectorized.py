@@ -3,9 +3,9 @@
 Same arithmetic as :mod:`repro.backend.reference`, restructured for
 throughput:
 
-* im2col and pooling windows are built from one
-  ``np.lib.stride_tricks.as_strided`` view copied in a single pass
-  instead of a python loop over kernel positions; im2col reads a
+* im2col is one ``np.lib.stride_tricks.as_strided`` view copied in a
+  single pass instead of a python loop over kernel positions, and
+  pooling windows are that view uncopied (read-only); im2col reads a
   channels-last padded copy of the image, so a conv's channels-last
   output feeds the next im2col through a contiguous read;
 * col2im folds into a channels-last buffer over cache-sized blocks of
@@ -135,11 +135,11 @@ class VectorizedBackend(KernelBackend):
 
     def _pool_windows(self, x: np.ndarray, k: int,
                       stride: int) -> np.ndarray:
-        """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW) via
-        one strided-view copy, read in ``x``'s own memory layout."""
-        n, c = x.shape[:2]
-        view, oh, ow = _window_view(x, k, k, stride)
-        return view.reshape(n, c, k * k, oh, ow)
+        """View ``x`` (N, C, H, W) as windows (N, C, k, k, OH, OW): a
+        zero-copy, read-only strided view in ``x``'s own memory layout."""
+        view, _, _ = _window_view(x, k, k, stride)
+        view.flags.writeable = False
+        return view
 
     # ------------------------------------------------------------------
     # batched bit-serial crossbar VMM

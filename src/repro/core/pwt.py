@@ -146,7 +146,10 @@ def run_pwt(model: Module, train_data: Dataset,
 
     The model runs in eval mode throughout (BatchNorm keeps its running
     statistics; the crossbar weights are frozen) — only the offset
-    registers move.
+    registers move. Every other parameter has ``requires_grad`` cleared
+    for the run (restored on exit, also on error), so backward computes
+    no gradient Eq. 8 does not use and writes no ``.grad`` outside the
+    offsets.
 
     Raises ``FloatingPointError`` (and counts ``pwt.diverged``) on the
     first batch whose loss is not finite, before it reaches the
@@ -164,34 +167,43 @@ def run_pwt(model: Module, train_data: Dataset,
                 analytic_offset_init(mod, config.offset_bits)
     optimizer = Adam(params, lr=config.lr)
     history = PWTHistory()
-    for epoch in range(config.epochs):
-        n_epoch_batches = 0
-        with span("pwt.epoch", epoch=epoch):
-            for batch_idx, (images, labels) in enumerate(
-                    iterate_batches(train_data, config.batch_size, rng=rng)):
-                if (config.max_batches_per_epoch is not None
-                        and batch_idx >= config.max_batches_per_epoch):
-                    break
-                optimizer.zero_grad()
-                loss = F.cross_entropy(model(Tensor(images)), labels)
-                value = loss.item()
-                if not np.isfinite(value):
-                    # A non-finite step would turn every register into
-                    # NaN and quantize_offsets would round it in silently.
-                    obs_metrics.inc("pwt.diverged")
-                    raise FloatingPointError(
-                        f"PWT loss is {value} at epoch {epoch}, batch "
-                        f"{batch_idx}; the offsets were not updated by it")
-                loss.backward()
-                optimizer.step()
-                history.losses.append(value)
-                n_epoch_batches += 1
-        optimizer.lr *= config.lr_decay
-        # The per-epoch offset-loss curve (PWT convergence) goes into
-        # the metrics registry so the run manifest carries it.
-        obs_metrics.observe("pwt.epoch_loss", history.final_loss)
-        obs_metrics.inc("pwt.batches", n_epoch_batches)
-        logger.info("PWT epoch %d: loss %.4f", epoch, history.final_loss)
+    offset_ids = {id(p) for p in params}
+    frozen = [p for p in model.parameters()
+              if p.requires_grad and id(p) not in offset_ids]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        for epoch in range(config.epochs):
+            n_epoch_batches = 0
+            with span("pwt.epoch", epoch=epoch):
+                for batch_idx, (images, labels) in enumerate(
+                        iterate_batches(train_data, config.batch_size, rng=rng)):
+                    if (config.max_batches_per_epoch is not None
+                            and batch_idx >= config.max_batches_per_epoch):
+                        break
+                    optimizer.zero_grad()
+                    loss = F.cross_entropy(model(Tensor(images)), labels)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        # A non-finite step would turn every register into
+                        # NaN and quantize_offsets would round it in silently.
+                        obs_metrics.inc("pwt.diverged")
+                        raise FloatingPointError(
+                            f"PWT loss is {value} at epoch {epoch}, batch "
+                            f"{batch_idx}; the offsets were not updated by it")
+                    loss.backward()
+                    optimizer.step()
+                    history.losses.append(value)
+                    n_epoch_batches += 1
+            optimizer.lr *= config.lr_decay
+            # The per-epoch offset-loss curve (PWT convergence) goes into
+            # the metrics registry so the run manifest carries it.
+            obs_metrics.observe("pwt.epoch_loss", history.final_loss)
+            obs_metrics.inc("pwt.batches", n_epoch_batches)
+            logger.info("PWT epoch %d: loss %.4f", epoch, history.final_loss)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     obs_metrics.inc("pwt.runs")
     if config.round_offsets:
         for mod in crossbar_modules(model):

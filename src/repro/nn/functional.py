@@ -1,15 +1,20 @@
 """Differentiable neural-network operations on :class:`~repro.nn.tensor.Tensor`.
 
-Convolution and pooling are implemented as autograd primitives (with
-hand-written backward passes over im2col buffers) because composing them
-from elementwise ops would be prohibitively slow in numpy. A convolution
-is one BLAS GEMM per pass over the backend's channels-last crossbar-row
-matrix, and its output lives in channels-last memory behind an NCHW
-view. The window kernels themselves (im2col / col2im / pooling windows)
-are *not* implemented here: they dispatch to the active compute backend
-(:func:`repro.backend.get_backend`), so the same autograd graph runs
-unchanged on the loop-based ``reference`` kernels or the default
-``vectorized`` ones.
+Convolution, pooling and eval-mode batch normalisation are implemented
+as autograd primitives (with hand-written backward passes) because
+composing them from elementwise ops would be prohibitively slow in
+numpy. A convolution is one BLAS GEMM per pass over the backend's
+channels-last crossbar-row matrix, and its output lives in channels-last
+memory behind an NCHW view. The window kernels themselves (im2col /
+col2im / pooling windows) are *not* implemented here: they dispatch to
+the active compute backend (:func:`repro.backend.get_backend`), so the
+same autograd graph runs unchanged on the loop-based ``reference``
+kernels or the default ``vectorized`` ones. Max pooling over
+non-overlapping windows (``stride == kernel_size``) takes its k*k taps
+straight from the backend's window view and never folds through
+col2im; eval-mode batch norm needs no window kernel and runs
+per-channel arithmetic on the (N, H, W, C) view of its input. Both are
+bitwise equal to the argmax-gather / composed paths they replace.
 Everything here is validated against finite differences in ``tests/nn``.
 """
 
@@ -94,9 +99,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # pooling
 # ----------------------------------------------------------------------
 def _pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW);
+    """View ``x`` (N, C, H, W) as windows (N, C, k, k, OH, OW);
     dispatched to the active backend."""
     return get_backend().pool_windows(x, k, stride)
+
+
+def _flat_pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The pooling windows of ``x`` as (N, C, k*k, OH, OW), taps in
+    window order (a copy when the backend's windows are a view)."""
+    windows = _pool_windows(x, k, stride)
+    n, c, _, _, oh, ow = windows.shape
+    return windows.reshape(n, c, k * k, oh, ow)
 
 
 def _fold_windows(dwin: np.ndarray, x_shape: Tuple[int, int, int, int],
@@ -109,12 +122,49 @@ def _fold_windows(dwin: np.ndarray, x_shape: Tuple[int, int, int, int],
                                 k, k, stride, 0)
 
 
-@check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
-def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling with square windows. ``stride`` defaults to ``kernel_size``."""
-    k = kernel_size
-    stride = stride or k
-    windows = _pool_windows(x.data, k, stride)
+def _max_pool_disjoint(x: Tensor, k: int) -> Tensor:
+    """Max pooling over non-overlapping k x k windows (stride == k).
+
+    The forward is an ``np.maximum`` chain over the k*k taps of the
+    backend's pooling windows, in window order; on the vectorized
+    backend each tap is a zero-copy strided slice of ``x``, so the
+    output keeps ``x``'s memory layout. The backward writes ``g`` into
+    each tap's slice of a zero gradient under a first-max mask: a tap
+    takes the gradient when it holds the window max (or is NaN) and no
+    earlier tap did, which is ``argmax``'s rule for ties and NaNs. Rows
+    and columns past the last full window get zero gradient.
+    """
+    data = x.data
+    windows = _pool_windows(data, k, k)
+    oh, ow = windows.shape[-2:]
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    out = np.maximum(windows[:, :, 0, 0], windows[:, :, 0, 1])
+    for i, j in taps[2:]:
+        np.maximum(out, windows[:, :, i, j], out=out)
+
+    def backward(g: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        dx = np.zeros_like(data, dtype=np.float64)
+        taken: Optional[np.ndarray] = None
+        for i, j in taps:
+            tap = windows[:, :, i, j]
+            hit = (tap == out) | np.isnan(tap)
+            if taken is None:
+                taken = hit
+            else:
+                hit &= ~taken
+                taken |= hit
+            np.copyto(dx[:, :, i:i + k * oh:k, j:j + k * ow:k], g, where=hit)
+        x._accumulate(dx)
+
+    return Tensor._make(out, (x,), backward)
+
+
+def _max_pool_windowed(x: Tensor, k: int, stride: int) -> Tensor:
+    """Max pooling through the backend's pooling windows: an ``argmax``
+    gather forward, a ``put_along_axis`` + col2im fold backward."""
+    windows = _flat_pool_windows(x.data, k, stride)
     arg = windows.argmax(axis=2)
     out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
     n, c, oh, ow = out.shape
@@ -132,11 +182,26 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
 
 
 @check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
+def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
+    """Max pooling with square windows. ``stride`` defaults to ``kernel_size``.
+
+    Non-overlapping windows (``stride == kernel_size > 1``) take the
+    tap-wise :func:`_max_pool_disjoint`; overlapping ones an ``argmax``
+    gather over the flattened windows.
+    """
+    k = kernel_size
+    stride = stride or k
+    if stride == k > 1:
+        return _max_pool_disjoint(x, k)
+    return _max_pool_windowed(x, k, stride)
+
+
+@check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
 def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling with square windows."""
     k = kernel_size
     stride = stride or k
-    windows = _pool_windows(x.data, k, stride)
+    windows = _flat_pool_windows(x.data, k, stride)
     out = windows.mean(axis=2)
     n, c, oh, ow = out.shape
     x_shape = x.shape
@@ -175,25 +240,55 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  eps: float = 1e-5) -> Tensor:
     """Batch normalisation over (N, H, W) per channel.
 
-    Composed from differentiable primitives; running statistics are
-    updated in place (outside the autograd graph) when ``training``.
+    Training mode is composed from differentiable primitives; running
+    statistics are updated in place (outside the autograd graph). Eval
+    mode is the single primitive :func:`_batch_norm_eval`.
     """
+    if not training:
+        return _batch_norm_eval(x, gamma, beta, running_mean, running_var,
+                                eps)
     c = x.shape[1]
-    gamma_b = gamma.reshape(1, c, 1, 1)
-    beta_b = beta.reshape(1, c, 1, 1)
-    if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.data.reshape(c)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(c)
-        x_hat = (x - mean) / ((var + eps) ** 0.5)
-    else:
-        mean = running_mean.reshape(1, c, 1, 1)
-        std = np.sqrt(running_var.reshape(1, c, 1, 1) + eps)
-        x_hat = (x - mean) * (1.0 / std)
-    return x_hat * gamma_b + beta_b
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean.data.reshape(c)
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var.data.reshape(c)
+    x_hat = (x - mean) / ((var + eps) ** 0.5)
+    return x_hat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+
+
+def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
+                     running_mean: np.ndarray, running_var: np.ndarray,
+                     eps: float) -> Tensor:
+    """Eval-mode batch norm ``((x - mean) * (1/std)) * gamma + beta``.
+
+    The same element-wise ops, in the same order, as the composed
+    graph, run on the (N, H, W, C) view of ``x`` so every per-channel
+    operand broadcasts along the last axis; the output is an NCHW view
+    in ``x``'s memory layout. The backward is ``dx = (g * gamma) *
+    (1/std)``, and ``dgamma``/``dbeta`` are the same NCHW reductions the
+    composed graph runs, computed only for inputs that require grad.
+    """
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    x_hat = x.data.transpose(0, 2, 3, 1) - running_mean
+    x_hat *= inv_std
+    out = x_hat * gamma.data
+    out += beta.data
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            dx = g.transpose(0, 2, 3, 1) * gamma.data
+            dx *= inv_std
+            x._accumulate(dx.transpose(0, 3, 1, 2))
+        if gamma.requires_grad:
+            gamma._accumulate(
+                (g * x_hat.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3)))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=(0, 2, 3)))
+
+    return Tensor._make(out.transpose(0, 3, 1, 2), (x, gamma, beta),
+                        backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,

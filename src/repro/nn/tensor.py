@@ -67,7 +67,7 @@ class Tensor:
                  _backward: Optional[Callable[[np.ndarray], None]] = None,
                  name: Optional[str] = None):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
@@ -130,10 +130,20 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer."""
+        """Add ``grad`` into this tensor's ``.grad`` buffer.
+
+        The first write stores a float64 copy of ``grad`` in a new
+        buffer laid out like ``self.data``, so the tensor owns its
+        gradient (backward closures may hand one array to several
+        parents) and later writes add in place. The copy is ``grad +
+        0.0``, bit for bit the sum into a zeroed buffer it replaces
+        (-0.0 becomes +0.0), in one pass instead of two.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=np.float64)
-        self.grad += grad
+            self.grad = np.add(grad, 0.0, out=np.empty_like(
+                self.data, dtype=np.float64))
+        else:
+            self.grad += grad
 
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],

@@ -206,6 +206,24 @@ class TestWindowKernels:
         alt = get_backend(backend).pool_windows(x, k, stride)
         np.testing.assert_array_equal(alt, ref)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 3), (3, 2)])
+    def test_pool_window_taps_are_strided_slices(self, backend, k, stride):
+        """``windows[:, :, i, j]`` is tap (i, j) of every window, in any
+        input layout, and the windows are read-only."""
+        x = make_rng(23).normal(size=(2, 3, 8, 9))
+        for data in (x, np.ascontiguousarray(
+                x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            windows = get_backend(backend).pool_windows(data, k, stride)
+            oh, ow = (8 - k) // stride + 1, (9 - k) // stride + 1
+            assert windows.shape == (2, 3, k, k, oh, ow)
+            assert not windows.flags.writeable
+            for i in range(k):
+                for j in range(k):
+                    np.testing.assert_array_equal(
+                        windows[:, :, i, j],
+                        data[:, :, i::stride, j::stride][:, :, :oh, :ow])
+
 
 class TestLayerOps:
     """Whole forward/backward ops through the dispatch layer."""
@@ -231,15 +249,13 @@ class TestLayerOps:
         np.testing.assert_allclose(gx_alt, gx_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gw_alt, gw_ref, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
-                             ids=["max", "avg"])
-    def test_pooling(self, backend, op):
+    @staticmethod
+    def _check_pooling(backend, op, k, stride):
         x_data = make_rng(31).normal(size=(2, 3, 6, 6))
 
         def run():
             x = Tensor(x_data, requires_grad=True)
-            y = op(x, 2, stride=2)
+            y = op(x, k, stride=stride)
             y.sum().backward()
             return y.data, x.grad
 
@@ -249,3 +265,18 @@ class TestLayerOps:
             y_alt, g_alt = run()
         np.testing.assert_array_equal(y_alt, y_ref)
         np.testing.assert_array_equal(g_alt, g_ref)
+
+    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
+                             ids=["max", "avg"])
+    def test_pooling(self, backend, op):
+        self._check_pooling(backend, op, 2, 2)
+
+    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
+                             ids=["max", "avg"])
+    def test_pooling_overlapping_windows(self, backend, op):
+        """k=3/stride=2 windows overlap, so max-pool takes the argmax
+        gather over flattened windows instead of the disjoint tap-wise
+        primitive that ``test_pooling`` exercises."""
+        self._check_pooling(backend, op, 3, 2)

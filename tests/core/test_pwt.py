@@ -173,3 +173,54 @@ class TestTraining:
             obs.disable()
         for mod, offsets in zip(mods, before):
             np.testing.assert_array_equal(mod.offsets.data, offsets)
+
+
+@pytest.fixture
+def deployed_bn():
+    """A programmed ResNet with BatchNorm gamma/beta beside the offsets;
+    one gamma starts frozen so restoring a flag is observable."""
+    from repro.data.loaders import Dataset
+    from repro.data.synthetic import synthetic_cifar
+    from repro.nn.models import resnet_tiny
+
+    images, labels = synthetic_cifar(48, rng=0)
+    data = Dataset(images, labels)
+    cfg = DeployConfig.from_method("plain", sigma=0.4, granularity=16)
+    model = Deployer(resnet_tiny(rng=0), data, cfg, rng=0).program(rng=1)
+    offset_ids = {id(p) for p in offset_parameters(model)}
+    others = [p for p in model.parameters() if id(p) not in offset_ids]
+    assert others
+    others[0].requires_grad = False
+    for p in model.parameters():
+        p.zero_grad()
+    return model, data, others
+
+
+class TestOffsetOnlyBackward:
+    """PWT computes gradients for the offsets alone (Eq. 8)."""
+
+    def _assert_untouched(self, model, others):
+        assert [p.requires_grad for p in others] == \
+            [False] + [True] * (len(others) - 1)
+        assert all(p.grad is None for p in others)
+        assert all(p.requires_grad for p in offset_parameters(model))
+
+    def test_non_offset_parameters_restored_without_grad(self, deployed_bn):
+        model, data, others = deployed_bn
+        history = run_pwt(model, data,
+                          PWTConfig(epochs=1, batch_size=16,
+                                    max_batches_per_epoch=2), rng=0)
+        assert len(history.losses) == 2
+        self._assert_untouched(model, others)
+        assert all(p.grad is not None for p in offset_parameters(model))
+
+    def test_restored_after_divergence(self, deployed_bn):
+        from repro.data.loaders import Dataset
+
+        model, data, others = deployed_bn
+        images = data.images.copy()
+        images[:, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            run_pwt(model, Dataset(images, data.labels),
+                    PWTConfig(epochs=1, batch_size=16), rng=0)
+        self._assert_untouched(model, others)

@@ -159,6 +159,99 @@ class TestPooling:
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
 
 
+def _channels_last(x):
+    """``x`` (N, C, H, W) as an NCHW view over channels-last memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestDisjointMaxPoolParity:
+    """The stride == k max-pool primitive equals the windowed argmax
+    path, in output and input gradient."""
+
+    def _check(self, x_data, k, rng):
+        n, c, h, w = x_data.shape
+        g = rng.normal(size=(n, c, h // k, w // k))
+        results = []
+        for pool in (F._max_pool_disjoint,
+                     lambda x, k: F._max_pool_windowed(x, k, k)):
+            x = Tensor(x_data, requires_grad=True)
+            out = pool(x, k)
+            out.backward(g)
+            results.append((out.data, x.grad))
+        (out, dx), (ref_out, ref_dx) = results
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("k,h,w", [(2, 8, 6), (2, 7, 9), (3, 9, 6),
+                                       (3, 10, 8)])
+    def test_random(self, rng, k, h, w, layout):
+        x = rng.normal(size=(3, 4, h, w))
+        if layout == "channels_last":
+            x = _channels_last(x)
+        self._check(x, k, rng)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_all_equal_windows(self, rng, k, layout):
+        x = np.full((2, 3, 2 * k + 1, 3 * k), 0.5)
+        if layout == "channels_last":
+            x = _channels_last(x)
+        self._check(x, k, rng)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equal_pair_at_every_tap_position(self, rng, k):
+        """One window per tap pair (p, q), p < q: both hold the max."""
+        pairs = [(p, q) for p in range(k * k) for q in range(p + 1, k * k)]
+        x = rng.uniform(-1.0, 0.0, size=(1, 2, k, k * len(pairs)))
+        for col, (p, q) in enumerate(pairs):
+            for tap in (p, q):
+                i, j = divmod(tap, k)
+                x[:, :, i, col * k + j] = 1.0
+        self._check(x, k, rng)
+        self._check(_channels_last(x), k, rng)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_signed_zeros_after_relu(self, rng, k):
+        """ReLU leaves -0.0 for negative inputs; ±0 ties route like
+        argmax (first tap), whatever the zeros' signs."""
+        raw = rng.normal(-0.5, 1.0, size=(2, 3, 3 * k + 1, 3 * k))
+        x = Tensor(_channels_last(raw)).relu().data
+        assert np.signbit(x).any() and (x == 0).mean() > 0.5
+        self._check(x, k, rng)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nan_windows_route_like_argmax(self, rng, k, layout):
+        """A NaN tap is the window max and the first NaN takes the
+        gradient, as with ``argmax``; NaN-free windows are unaffected."""
+        x = rng.normal(size=(2, 3, 3 * k, 3 * k))
+        x[0, 0, 0, 0] = np.nan                    # first tap
+        x[0, 1, k - 1, k - 1] = np.nan            # last tap
+        x[1, 2, 1, 0] = x[1, 2, 1, 1] = np.nan    # two NaNs, one window
+        x[1, 0, k:2 * k, k:2 * k] = np.nan        # all-NaN window
+        if layout == "channels_last":
+            x = _channels_last(x)
+        self._check(x, k, rng)
+
+    def test_truncated_edge_gets_zero_gradient(self):
+        x = Tensor(np.arange(35.0).reshape(1, 1, 5, 7), requires_grad=True)
+        F.max_pool2d(x, 2).sum().backward()
+        assert x.grad.shape == (1, 1, 5, 7)
+        assert not x.grad[0, 0, 4].any() and not x.grad[0, 0, :, 6].any()
+        assert x.grad.sum() == 6
+
+    def test_public_op_takes_the_disjoint_path(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("disjoint max-pool took the argmax path")
+
+        monkeypatch.setattr(F, "_max_pool_windowed", forbidden)
+        monkeypatch.setattr(F, "_fold_windows", forbidden)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        F.max_pool2d(x, 2).sum().backward()
+        F.max_pool2d(x, 3, stride=3).sum().backward()
+
+
 class TestLinear:
     def test_values(self, rng):
         x = rng.normal(size=(4, 5))
@@ -202,6 +295,53 @@ class TestBatchNorm:
         expected = (x - rmean.reshape(1, 2, 1, 1)) / \
             np.sqrt(rvar.reshape(1, 2, 1, 1))
         np.testing.assert_allclose(out.data, expected)
+
+    def test_eval_gradcheck(self, rng):
+        rmean = rng.normal(size=3)
+        rvar = rng.uniform(0.5, 2.0, size=3)
+        gradcheck(
+            lambda ts: (F.batch_norm2d(ts[0], ts[1], ts[2], rmean, rvar,
+                                       training=False) ** 2).sum(),
+            [(2, 3, 4, 3), (3,), (3,)])
+
+    @pytest.mark.parametrize("affine_grad", [True, False])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", [(4, 5, 6, 3), (3, 2, 1, 1)])
+    def test_eval_primitive_matches_composed_chain(self, rng, shape, layout,
+                                                   affine_grad):
+        """Eval BN equals the composed ``((x - mean) * (1/std)) * gamma +
+        beta`` graph bit for bit: out, dx, dgamma and dbeta."""
+        c = shape[1]
+        x_data = rng.normal(size=shape)
+        if layout == "channels_last":
+            x_data = _channels_last(x_data)
+        gamma_data, beta_data = rng.normal(size=c), rng.normal(size=c)
+        rmean, rvar = rng.normal(size=c), rng.uniform(0.1, 3.0, size=c)
+        g = rng.normal(size=shape)
+
+        def run(bn):
+            x = Tensor(x_data, requires_grad=True)
+            gamma = Tensor(gamma_data, requires_grad=affine_grad)
+            beta = Tensor(beta_data, requires_grad=affine_grad)
+            out = bn(x, gamma, beta)
+            out.backward(g)
+            return out.data, x.grad, gamma.grad, beta.grad
+
+        def composed(x, gamma, beta):
+            mean = rmean.reshape(1, c, 1, 1)
+            std = np.sqrt(rvar.reshape(1, c, 1, 1) + 1e-5)
+            x_hat = (x - mean) * (1.0 / std)
+            return x_hat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+
+        got = run(lambda x, gm, bt: F.batch_norm2d(x, gm, bt, rmean, rvar,
+                                                   training=False))
+        want = run(composed)
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
+            else:
+                assert a.tobytes() == b.tobytes()
+        assert (got[2] is None) == (not affine_grad)
 
     def test_gradcheck_gamma_beta(self, rng):
         x = rng.normal(size=(4, 2, 3, 3))

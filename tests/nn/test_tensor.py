@@ -256,6 +256,38 @@ class TestBackwardMechanics:
         (t * 2).sum().backward()
         np.testing.assert_array_equal(t.grad, [4.0])
 
+    def test_grad_buffer_owned_after_first_write(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        g = np.array([3.0, 4.0])
+        t.backward(g)
+        g[:] = 99.0
+        np.testing.assert_array_equal(t.grad, [3.0, 4.0])
+
+    def test_sibling_parents_own_their_grads(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([5.0, 6.0], requires_grad=True)
+        (a + b).backward(np.array([1.0, -1.0]))
+        a.grad[:] = 7.0
+        np.testing.assert_array_equal(b.grad, [1.0, -1.0])
+
+    def test_self_add_accumulates_twice(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        (x + x).backward(np.array([0.5, -3.0]))
+        np.testing.assert_array_equal(x.grad, [1.0, -6.0])
+
+    def test_first_grad_is_float64_in_data_layout(self):
+        t = Tensor(np.zeros((3, 4), dtype=np.float32).T, requires_grad=True)
+        t._accumulate(np.ones((4, 3), dtype=np.float32))
+        assert t.grad.dtype == np.float64
+        assert t.grad.flags.f_contiguous
+
+    def test_first_grad_matches_a_zeroed_buffer(self):
+        """-0.0 lands as +0.0, as in a sum into zeros; broadcasts too."""
+        t = Tensor(np.ones((2, 2)), requires_grad=True)
+        t._accumulate(np.array([-0.0, 1.0]))
+        assert not np.signbit(t.grad).any()
+        np.testing.assert_array_equal(t.grad, [[0.0, 1.0], [0.0, 1.0]])
+
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).sum().backward()
