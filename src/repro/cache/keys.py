@@ -31,15 +31,18 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 3,      # trained workload weights (eval.experiments)
+    "workload": 4,      # trained workload weights (eval.experiments)
                         # v2: GEMM conv sums in a new order (last bits)
                         # v3: NaN-loss guard (no finite result changes)
+                        # v4: no_grad eval/calibration; no result changes
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
-    "calibrate": 2,     # per-layer input activation peaks (core.pipeline)
+    "calibrate": 3,     # per-layer input activation peaks (core.pipeline)
                         # v2: conv forward is one GEMM (new summation order)
-    "gradients": 2,     # per-weight gradient RMS estimates (core.pipeline)
+                        # v3: no_grad eval/calibration; no result changes
+    "gradients": 3,     # per-weight gradient RMS estimates (core.pipeline)
                         # v2: conv forward/backward are GEMMs (new order)
+                        # v3: no_grad eval/calibration; no result changes
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
     "serve_program": 6,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario

@@ -20,11 +20,16 @@ optimizer over the offset parameters implements PWT.
 
 Input activations are fake-quantized with a straight-through estimator
 so offset gradients can flow through deeper layers.
+
+Under :func:`repro.nn.tensor.no_grad` the forward skips that graph: the
+crossbar real weights never change after programming, so the forward
+operand depends only on the register file and is cached, read-only,
+keyed on the registers' bytes (see :meth:`_CrossbarBase.frozen_operand`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -32,11 +37,14 @@ from repro.core.offsets import OffsetPlan
 from repro.device.cell import CellType
 from repro.nn import functional as F
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.quant.bitslice import cell_significances
 from repro.quant.quantizer import InputQuantizer
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
+
+#: A weight matrix as a plain array (cached path) or a Tensor (graph).
+_W = TypeVar("_W", np.ndarray, Tensor)
 
 
 def ste_quantize(x: Tensor, quantizer: InputQuantizer) -> Tensor:
@@ -79,19 +87,15 @@ class _CrossbarBase(Module):
         # Crossbar real weights, fixed after programming.
         self.crw = self.cells @ self._significance
         self.offsets = Parameter(np.asarray(registers, dtype=np.float64))
-        self.complement_mask = np.asarray(complement, dtype=bool)
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         # Optional deployment metadata used by PWT's analytic init.
         self.ntw = None if ntw is None else np.asarray(ntw, dtype=np.float64)
         self.grad_weights = (None if grad_weights is None
                              else np.asarray(grad_weights, dtype=np.float64))
-        # Precomputed complement algebra: q_eff = sign*(V + b) + const.
-        comp_rows = plan.expand(self.complement_mask.astype(np.float64))
-        self._sign = 1.0 - 2.0 * comp_rows
-        self._const = comp_rows * self.qmax
         # Row -> group map, cached: plan.group_index builds an arange on
         # every access and the forward pass indexes with it each call.
         self._group_index = plan.group_index
+        self.set_complement(complement)
 
     @property
     def qmax(self) -> int:
@@ -100,6 +104,19 @@ class _CrossbarBase(Module):
     @property
     def register_count(self) -> int:
         return self.plan.n_registers
+
+    def set_complement(self, complement: np.ndarray) -> None:
+        """Install the per-group complement mask (n_groups, cols).
+
+        Precomputes the complement algebra ``q_eff = sign*(V + b) +
+        const`` and drops the frozen operand, which the register-keyed
+        cache alone would not see change.
+        """
+        self.complement_mask = np.asarray(complement, dtype=bool)
+        comp_rows = self.plan.expand(self.complement_mask.astype(np.float64))
+        self._sign = 1.0 - 2.0 * comp_rows
+        self._const = comp_rows * self.qmax
+        self._frozen: Optional[Tuple[bytes, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # effective weights
@@ -111,9 +128,52 @@ class _CrossbarBase(Module):
         q_eff = (v + b_exp) * self._sign + self._const
         return (q_eff - float(self.weight_zero_point)) * self.weight_scale
 
+    def quantized_weight_array(self) -> np.ndarray:
+        """The effective weights in integer units, ``sign*(V + expand(b))
+        + const`` (rows, cols), as a plain array: the same ops, in the
+        same order, as :meth:`effective_weight_matrix` runs on tensors."""
+        b_exp = self.offsets.data[self._group_index]
+        return (self.crw + b_exp) * self._sign + self._const
+
+    def _operand(self, w: _W) -> _W:
+        """The forward operand built from the (rows, cols) matrix ``w``
+        (an array, or the differentiable Tensor in grad mode)."""
+        return w
+
+    def frozen_operand(self) -> np.ndarray:
+        """The forward's weight operand for the current registers.
+
+        Bitwise equal to the one the grad-mode forward builds, computed
+        once per register state: the cache is keyed on
+        ``offsets.data.tobytes()``, so any register write (an optimizer
+        step, :meth:`quantize_offsets`, analytic init, a state-dict or
+        snapshot load, a direct assignment) rebuilds it on the next
+        call. The array is read-only, so a caller that mutates it fails
+        instead of corrupting every later forward.
+        """
+        key = self.offsets.data.tobytes()
+        cached = self._frozen
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        w = (self.quantized_weight_array()
+             - float(self.weight_zero_point)) * self.weight_scale
+        operand = self._operand(w)
+        operand.flags.writeable = False
+        self._frozen = (key, operand)
+        return operand
+
     def effective_weight_array(self) -> np.ndarray:
-        """Same as :meth:`effective_weight_matrix`, as a plain array."""
-        return self.effective_weight_matrix().data
+        """Same as :meth:`effective_weight_matrix`, as a read-only plain
+        array (no graph is built)."""
+        return self.frozen_operand()
+
+    def _weight_operand(self) -> Tensor:
+        """The forward's weight operand: cached under ``no_grad``,
+        otherwise rebuilt through the autograd graph so gradients reach
+        the offsets."""
+        if not is_grad_enabled():
+            return Tensor(self.frozen_operand())
+        return self._operand(self.effective_weight_matrix())
 
     def quantize_offsets(self, offset_bits: int = 8) -> None:
         """Round offsets onto the signed register grid (post-PWT)."""
@@ -157,8 +217,7 @@ class CrossbarLinear(_CrossbarBase):
     def forward(self, x: Tensor) -> Tensor:
         """Compute ``x @ W_eff + bias``: (N, in) -> (N, out)."""
         x = self._quantize_input(x)
-        w = self.effective_weight_matrix()                  # (in, out)
-        y = x @ w
+        y = x @ self._weight_operand()                      # W: (in, out)
         if self.bias is not None:
             y = y + self.bias
         return y
@@ -197,12 +256,17 @@ class CrossbarConv2d(_CrossbarBase):
         self.stride = stride
         self.padding = padding
 
+    def _operand(self, w: _W) -> _W:
+        """The (F, C, kh, kw) kernel copy of the (c*kh*kw, f) matrix."""
+        return w.transpose(1, 0).reshape(self.kernel_shape)
+
+    def effective_weight_array(self) -> np.ndarray:
+        """The (c*kh*kw, f) matrix, a read-only view of the cached kernel."""
+        return self.frozen_operand().reshape(self.plan.cols, -1).T
+
     def forward(self, x: Tensor) -> Tensor:
         """Convolve (N, C, H, W) inputs with the effective kernel."""
         x = self._quantize_input(x)
-        f, c, kh, kw = self.kernel_shape
-        w = self.effective_weight_matrix()                  # (c*kh*kw, f)
-        kernel = w.transpose(1, 0).reshape(f, c, kh, kw)
         bias_t = None if self.bias is None else Tensor(self.bias)
-        return F.conv2d(x, kernel, bias_t, stride=self.stride,
-                        padding=self.padding)
+        return F.conv2d(x, self._weight_operand(), bias_t,
+                        stride=self.stride, padding=self.padding)

@@ -52,7 +52,7 @@ from repro.device.variation import VariationModel
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear, Sequential
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.quant.bitslice import slice_weights
@@ -382,7 +382,8 @@ class Deployer:
         _rebuild_sequentials(self.model)
         try:
             self.model.eval()
-            self.model(Tensor(images))
+            with no_grad():
+                self.model(Tensor(images))
         finally:
             for prep in self.layers:
                 _replace_module(self.model, prep.path, shims[prep.path].inner)
@@ -659,13 +660,15 @@ def recalibrate_batchnorm(model: Module, data: Dataset,
     model.train()
     seen = 0
     # Cumulative-average momentum so every batch contributes equally.
-    for images, _ in iterate_batches(data, batch_size, shuffle=True, rng=rng):
-        seen += 1
-        for bn in bns:
-            bn.momentum = 1.0 / seen
-        model(Tensor(images))
-        if seen >= n_batches:
-            break
+    with no_grad():
+        for images, _ in iterate_batches(data, batch_size, shuffle=True,
+                                         rng=rng):
+            seen += 1
+            for bn in bns:
+                bn.momentum = 1.0 / seen
+            model(Tensor(images))
+            if seen >= n_batches:
+                break
     for bn in bns:
         bn.momentum = 0.1
     model.eval()

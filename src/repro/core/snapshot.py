@@ -72,11 +72,7 @@ def load_deployment(deployer: "Deployer", path: str) -> Module:
     deployed = deployer._build_deployed(cells)
     for i, mod in enumerate(crossbar_modules(deployed)):
         mod.offsets.data[...] = data[f"layer{i}_offsets"]
-        new_mask = data[f"layer{i}_complement"].astype(bool)
-        mod.complement_mask = new_mask
-        comp_rows = mod.plan.expand(new_mask.astype(np.float64))
-        mod._sign = 1.0 - 2.0 * comp_rows
-        mod._const = comp_rows * mod.qmax
+        mod.set_complement(data[f"layer{i}_complement"])
     return deployed
 
 

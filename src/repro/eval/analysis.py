@@ -53,9 +53,7 @@ def layer_error_stats(mod: _CrossbarBase, path: str = "") -> LayerErrorStats:
     """Diagnostics for one crossbar layer (requires its NTW metadata)."""
     if mod.ntw is None:
         raise ValueError("layer carries no NTW metadata")
-    w_eff_q = mod._sign * (mod.crw + mod.plan.expand(mod.offsets.data)) \
-        + mod._const
-    err = w_eff_q - mod.ntw
+    err = mod.quantized_weight_array() - mod.ntw
     group_mean = mod.plan.group_reduce_weights(err, op="mean")
     centred = err - mod.plan.expand(group_mean)
     return LayerErrorStats(

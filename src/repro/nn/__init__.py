@@ -12,10 +12,10 @@ from repro.nn.layers import (AvgPool2d, BatchNorm2d, Conv2d, Dropout,
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, StepLR
-from repro.nn.tensor import Tensor, as_tensor, concatenate, stack
+from repro.nn.tensor import Tensor, as_tensor, concatenate, no_grad, stack
 
 __all__ = [
-    "Tensor", "as_tensor", "stack", "concatenate",
+    "Tensor", "as_tensor", "stack", "concatenate", "no_grad",
     "Module", "Parameter", "functional",
     "Linear", "Conv2d", "BatchNorm2d", "ReLU", "MaxPool2d", "AvgPool2d",
     "GlobalAvgPool2d", "Flatten", "Dropout", "Identity", "Sequential",

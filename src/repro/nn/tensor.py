@@ -13,6 +13,10 @@ The design is a classic define-by-run tape:
 * ``backward()`` topologically sorts the graph and runs the closures in
   reverse order.
 
+Inside :func:`no_grad` (a per-thread switch) ops return plain leaf
+tensors and record no tape; forward-only paths (evaluation, serving,
+calibration, BatchNorm recalibration) run under it.
+
 Only the ops the paper's workloads need are implemented (dense and
 convolutional arithmetic, reductions, shape manipulation, elementwise
 nonlinearities); each one's gradient is verified against central finite
@@ -21,11 +25,47 @@ differences in the test suite.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+class _GradMode(threading.local):
+    """Per-thread tape switch; every thread starts with recording on."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops on this thread currently record the autograd tape."""
+    return _grad_mode.enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Stop recording the tape on this thread for the ``with`` block.
+
+    Every op output inside the block is a plain leaf tensor (no parents,
+    no backward closure, ``requires_grad`` False), so intermediate
+    buffers the backward would have kept are freed as soon as the
+    forward moves on. Values are unchanged: the same numpy ops run in
+    the same order. The previous state is restored on exit, also when
+    the block raises, so blocks nest. Other threads are unaffected.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -148,9 +188,9 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create an op output, tracking grads only if some parent does."""
-        requires = any(p.requires_grad for p in parents)
-        if not requires:
+        """Create an op output, tracking grads only if some parent does
+        and the tape is on (see :func:`no_grad`)."""
+        if not (_grad_mode.enabled and any(p.requires_grad for p in parents)):
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 

@@ -11,7 +11,7 @@ from repro.data.loaders import Dataset, iterate_batches
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.optim import Adam, Optimizer
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
@@ -34,12 +34,14 @@ class TrainResult:
 
 def evaluate_accuracy(model: Module, dataset: Dataset,
                       batch_size: int = 256) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (eval mode)."""
+    """Top-1 accuracy of ``model`` on ``dataset`` (eval mode, no tape)."""
     model.eval()
     correct = 0
-    for images, labels in iterate_batches(dataset, batch_size, shuffle=False):
-        logits = model(Tensor(images))
-        correct += int((logits.argmax(axis=1) == labels).sum())
+    with no_grad():
+        for images, labels in iterate_batches(dataset, batch_size,
+                                              shuffle=False):
+            logits = model(Tensor(images))
+            correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / len(dataset)
 
 

@@ -180,11 +180,7 @@ class ModelRegistry:
                  if name.startswith(_STATE_PREFIX)}
         deployed.load_state_dict(state)
         for i, mod in enumerate(crossbar_modules(deployed)):
-            mask = arrays[f"layer{i}_complement"].astype(bool)
-            mod.complement_mask = mask
-            comp_rows = mod.plan.expand(mask.astype(np.float64))
-            mod._sign = 1.0 - 2.0 * comp_rows
-            mod._const = comp_rows * mod.qmax
+            mod.set_complement(arrays[f"layer{i}_complement"])
         deployed.eval()
         return deployed
 

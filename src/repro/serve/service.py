@@ -24,7 +24,7 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import ModelRegistry
 from repro.utils.logging import get_logger
@@ -143,9 +143,11 @@ class InferenceService:
     # the forward the batcher drives
     # ------------------------------------------------------------------
     def run_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """One fixed-shape forward through the programmed crossbars."""
+        """One fixed-shape forward through the programmed crossbars,
+        with no autograd tape (frozen crossbar weights)."""
         prepared = self.prepare()
-        return prepared.model(Tensor(inputs)).data
+        with no_grad():
+            return prepared.model(Tensor(inputs)).data
 
     def make_batcher(self) -> MicroBatcher:
         cfg = self.config

@@ -1,11 +1,15 @@
 """Autograd core: every op's gradient against finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, as_tensor, concatenate, stack
+from repro.nn import functional as F
+from repro.nn.tensor import (Tensor, as_tensor, concatenate, is_grad_enabled,
+                             no_grad, stack)
 from tests.helpers import gradcheck
 from repro.utils.rng import make_rng
 
@@ -319,6 +323,82 @@ class TestBackwardMechanics:
             y = y + 0.001
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+
+class TestNoGrad:
+    def test_outputs_are_plain_leaves(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        with no_grad():
+            outs = [x @ w, (x * 2.0).relu(), x.sum(axis=0), x[0],
+                    F.log_softmax(x), stack([x, x])]
+        for out in outs:
+            assert out._parents == ()
+            assert out._backward is None
+            assert not out.requires_grad
+
+    def test_values_equal_grad_mode(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+
+        def run():
+            return F.max_pool2d(F.conv2d(x, k, padding=1).relu(), 2).data
+
+        taped = run()
+        with no_grad():
+            plain = run()
+        assert np.array_equal(plain, taped)
+
+    def test_nesting_restores_outer_state(self):
+        assert is_grad_enabled()
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_state_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert is_grad_enabled()
+        x = Tensor([1.0], requires_grad=True)
+        (x * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0])
+
+    def test_flag_is_thread_local(self):
+        """A worker inside no_grad leaves the main thread's tape on."""
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with no_grad():
+                seen["worker"] = is_grad_enabled()
+                entered.set()
+                release.wait(5)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(5)
+            x = Tensor([2.0], requires_grad=True)
+            y = x * x
+            assert is_grad_enabled() and y.requires_grad
+            y.sum().backward()
+            np.testing.assert_array_equal(x.grad, [4.0])
+        finally:
+            release.set()
+            thread.join()
+        assert seen["worker"] is False
+
+    def test_new_thread_starts_with_tape_on(self):
+        seen = {}
+        with no_grad():
+            thread = threading.Thread(
+                target=lambda: seen.setdefault("on", is_grad_enabled()))
+            thread.start()
+            thread.join()
+        assert seen["on"] is True
 
 
 @settings(max_examples=25, deadline=None)
