@@ -13,10 +13,7 @@ The ``REPRO_BENCH_PRESET`` environment variable selects the workload
 scale: ``quick`` (default — minutes, the sizes CI runs) or ``full``
 (the sizes EXPERIMENTS.md reports). ``REPRO_BENCH_JOBS`` selects the
 parallel trial worker count (``0`` = one per core; results are
-bit-identical across worker counts). ``REPRO_BACKEND`` selects the
-compute backend the kernels dispatch to (``vectorized`` by default;
-every backend is numerically interchangeable, so this too only moves
-wall-clock time) — the active name is recorded in every sidecar.
+bit-identical across worker counts).
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Sidecar schema version — bump when the JSON layout changes.
 #: v2: the wall-time field ``elapsed_s`` is gone.
-SIDECAR_SCHEMA = "repro.bench.sidecar/v2"
+#: v3: the ``backend`` field is gone (the library has one kernel set).
+SIDECAR_SCHEMA = "repro.bench.sidecar/v3"
 
 
 def preset() -> str:
@@ -67,18 +65,6 @@ def jobs() -> int:
     return parsed
 
 
-def backend() -> str:
-    """The compute backend the benched kernels dispatch to.
-
-    Resolved through the :mod:`repro.backend` registry (override, then
-    ``REPRO_BACKEND``, then the built-in default), so sidecars record
-    which kernel set produced their timings.
-    """
-    from repro.backend import default_backend_name
-
-    return default_backend_name()
-
-
 def _jsonable(value):
     """Coerce dataclasses (rows) and mappings into JSON-able structures."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -111,7 +97,6 @@ def report(name: str, lines, data=None) -> str:
         "preset": preset(),
         "trials": trials(),
         "jobs": jobs(),
-        "backend": backend(),
         "created_unix": time.time(),
         "lines": text.splitlines(),
         "data": _jsonable(data) if data is not None else None,

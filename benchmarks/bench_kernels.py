@@ -4,17 +4,13 @@ These are classic pytest-benchmark targets (many rounds, statistical
 timing) for the hot paths: device programming, the VAWO solver, the
 bit-accurate engine, and a crossbar-layer forward pass. They show where
 a kernel change moves time rather than reproducing a paper number; the
-gated speed numbers come from ``benchmarks/e2e``.
-
-The engine and conv kernels run once per registered compute backend
-(``reference`` and ``vectorized``), so pytest-benchmark's table compares
-the two kernel sets side by side.
+gated speed numbers come from ``benchmarks/e2e``. Every kernel runs on
+the library's kernel set, :func:`repro.backend.get_backend`.
 """
 
-import pytest
 import numpy as np
 
-from repro.backend import use_backend
+from repro.backend import get_backend
 from repro.core.offsets import OffsetPlan
 from repro.core.vawo import run_vawo
 from repro.device.cell import MLC2, SLC
@@ -24,8 +20,6 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.xbar.engine import CrossbarEngine
 from repro.utils.rng import make_rng
-
-BACKENDS = ("reference", "vectorized")
 
 
 def test_device_programming_128x128(benchmark):
@@ -53,8 +47,7 @@ def test_vawo_solver_128x128(benchmark):
                        rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bit_accurate_engine_forward(benchmark, backend):
+def test_bit_accurate_engine_forward(benchmark):
     rng = make_rng(0)
     device = DeviceModel(MLC2, VariationModel(0.5), n_bits=8)
     plan = OffsetPlan(128, 32, 16)
@@ -64,33 +57,28 @@ def test_bit_accurate_engine_forward(benchmark, backend):
         registers=np.zeros((plan.n_groups, 32)),
         complement=np.zeros((plan.n_groups, 32), dtype=bool),
         cell=MLC2, input_scale=1 / 255, weight_scale=0.01,
-        weight_zero_point=128, backend=backend)
+        weight_zero_point=128)
     x = rng.uniform(0, 1, size=(16, 128))
-    # One warmup round so every backend's one-time setup (cached packed
-    # operands, einsum path caches) is excluded from the steady-state
+    # One warmup round so the one-time setup (cached packed operands,
+    # einsum path caches) is excluded from the steady-state
     # mean.
     benchmark.pedantic(engine.forward, args=(x,), rounds=3, iterations=1,
                        warmup_rounds=1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_conv2d_float_forward(benchmark, backend):
+def test_conv2d_float_forward(benchmark):
     """The fast float conv path (im2col + one GEMM)."""
     rng = make_rng(0)
     x = Tensor(rng.normal(size=(8, 3, 32, 32)))
     w = Tensor(rng.normal(size=(16, 3, 3, 3)))
-    with use_backend(backend):
-        benchmark.pedantic(F.conv2d, args=(x, w),
-                           kwargs=dict(stride=1, padding=1),
-                           rounds=3, iterations=1)
+    benchmark.pedantic(F.conv2d, args=(x, w),
+                       kwargs=dict(stride=1, padding=1),
+                       rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_conv_via_crossbar_engine(benchmark, backend):
+def test_conv_via_crossbar_engine(benchmark):
     """Conv the way the paper runs it: im2col columns through the
     bit-accurate crossbar engine of the unrolled kernel matrix."""
-    from repro.backend import get_backend
-
     rng = make_rng(0)
     c_in, kh, kw, f = 8, 3, 3, 16
     rows = c_in * kh * kw                                  # 72 wordlines
@@ -102,11 +90,11 @@ def test_conv_via_crossbar_engine(benchmark, backend):
         registers=np.zeros((plan.n_groups, f)),
         complement=np.zeros((plan.n_groups, f), dtype=bool),
         cell=MLC2, input_scale=1 / 255, weight_scale=0.01,
-        weight_zero_point=128, backend=backend)
+        weight_zero_point=128)
     x = rng.uniform(0, 1, size=(4, c_in, 14, 14))
 
     def conv_on_crossbar():
-        cols, oh, ow = get_backend(backend).im2col(x, kh, kw, 1, 1)
+        cols, oh, ow = get_backend().im2col(x, kh, kw, 1, 1)
         return engine.forward(cols)                        # (N*OH*OW, rows)
 
     benchmark.pedantic(conv_on_crossbar, rounds=3, iterations=1,

@@ -24,7 +24,7 @@ import tempfile
 import threading
 import time
 
-from _common import backend, preset, report
+from _common import preset, report
 
 from repro.cache import CacheStore
 from repro.serve import (InferenceService, ModelRegistry, ServeClient,
@@ -132,7 +132,7 @@ def run():
     p99 = _quantile(latencies, 0.99)
 
     throughput_lines = [
-        f"Served throughput — lenet ({preset()}, {backend()} backend)",
+        f"Served throughput — lenet ({preset()})",
         f"serial:   {serial_rps:8.1f} req/s "
         f"({SERIAL_REQUESTS} requests, {serial_s:.3f} s)",
         f"batched:  {batched_rps:8.1f} req/s "

@@ -1,31 +1,30 @@
-"""The kernel-set interface every compute backend implements.
+"""The kernel-set interface the production kernels and the oracle share.
 
-A *backend* is a named bundle of the library's arithmetic hot paths:
+A *kernel set* is a named bundle of the library's arithmetic hot paths:
 the im2col / col2im / pooling window kernels that
 :mod:`repro.nn.functional` builds convolution and pooling from (im2col
 emits the channels-last crossbar-row matrix a conv is one GEMM over,
 col2im is its adjoint), and the
 bit-serial crossbar VMM that :class:`repro.xbar.engine.CrossbarEngine`
 runs. Consumers never import a kernel implementation directly — they
-resolve the active backend through :func:`repro.backend.get_backend`
-and call the methods defined here, so kernel implementations can evolve
-(or be swapped wholesale) without touching the paper-faithful model.
+fetch the library's kernel set through :func:`repro.backend.get_backend`
+at call time and call the methods defined here.
 
-Two implementations ship with the library:
+Two implementations exist:
 
+* ``vectorized`` (:mod:`repro.backend.vectorized`) — the production
+  kernels: strided-view windows, a cache-blocked col2im, a batched
+  bit-serial VMM for finite ADCs and one packed GEMM for an ideal ADC;
 * ``reference`` (:mod:`repro.backend.reference`) — the original
-  loop-based kernels, kept as the correctness oracle;
-* ``vectorized`` (:mod:`repro.backend.vectorized`) — the default:
-  strided-view windows, a cache-blocked col2im, a batched bit-serial
-  VMM for finite ADCs and one packed GEMM for an ideal ADC.
+  loop-based kernels, kept as the correctness oracle the tests
+  construct and substitute through this interface.
 
-Every backend must be *numerically interchangeable* with ``reference``
-up to float rounding; the guarantee is asserted by the shared
-equivalence suite in ``tests/backend/``.
+The production kernels must match ``reference`` up to float rounding;
+``tests/backend/`` asserts it kernel by kernel.
 
 :class:`EngineOperands` carries the forward-invariant state of one
 crossbar engine (cells, significances, registers, complement masks and
-the derived matrices) so backends can cache expensive precomputations
+the derived matrices) so the kernels can cache expensive precomputations
 per engine instead of rebuilding them on every ``forward`` call.
 """
 
@@ -48,11 +47,11 @@ class EngineOperands:
     Built once (at engine construction) from the programmed cell array
     of shape (rows, cols, n_cells), the per-group registers/complement
     masks of shape (n_groups, cols) and the quantization geometry. The
-    derived views backends need — the crossbar real weights, the
+    derived views the kernels need — the crossbar real weights, the
     group-padded cell tensor, the complement sign matrix, the
     per-group input-sum gain of Eq. 7 and the packed ideal-ADC GEMM
     operand — are computed lazily and cached,
-    so each backend only ever pays for the intermediates it uses and
+    so each kernel set only ever pays for the intermediates it uses and
     repeated ``forward`` calls recompute nothing.
     """
 
@@ -187,13 +186,12 @@ class KernelBackend(abc.ABC):
 
     Subclasses implement the private ``_impl`` hooks; the public
     methods add the per-kernel obs counters (``backend.<name>.<kernel>``)
-    so kernel traffic is visible in run manifests regardless of which
-    backend served it. All kernels are pure functions of their inputs —
-    backends hold no per-call state, so one instance is shared
-    process-wide by the registry.
+    so kernel traffic is visible in run manifests. All kernels are pure
+    functions of their inputs — a kernel set holds no per-call state, so
+    one instance is shared process-wide.
     """
 
-    #: Registry name; subclasses override.
+    #: Kernel-set name, the middle part of the obs counter names.
     name: str = "abstract"
 
     # ------------------------------------------------------------------
@@ -252,22 +250,22 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def _im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
                 pad: int) -> Tuple[np.ndarray, int, int]:
-        """Backend implementation of :meth:`im2col` — same shapes."""
+        """Implementation of :meth:`im2col` — same shapes."""
 
     @abc.abstractmethod
     def _col2im(self, cols: np.ndarray, x_shape: Tuple[int, int, int, int],
                 kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-        """Backend implementation of :meth:`col2im` — same shapes."""
+        """Implementation of :meth:`col2im` — same shapes."""
 
     @abc.abstractmethod
     def _pool_windows(self, x: np.ndarray, k: int,
                       stride: int) -> np.ndarray:
-        """Backend implementation of :meth:`pool_windows` — same shapes."""
+        """Implementation of :meth:`pool_windows` — same shapes."""
 
     @abc.abstractmethod
     def _engine_vmm(self, xq: np.ndarray,
                     op: EngineOperands) -> np.ndarray:
-        """Backend implementation of :meth:`engine_vmm` — same shapes."""
+        """Implementation of :meth:`engine_vmm` — same shapes."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -6,11 +6,10 @@ re-indexed to the channels-last crossbar-row matrix) and
 :mod:`repro.xbar.engine` (the bit-serial, group-at-a-time crossbar
 VMM). It stays deliberately simple and close to the paper's datapath
 description: one ADC conversion per cell column per cycle, one offset
-group at a time. Every other backend is validated against it by the
-shared equivalence suite, which is what makes swapping kernel
-implementations safe.
-
-Select it with ``REPRO_BACKEND=reference`` or ``--backend reference``.
+group at a time. The production kernels
+(:mod:`repro.backend.vectorized`) are validated against it kernel by
+kernel in ``tests/backend/``, and end to end by a deployment that the
+tests run once on each kernel set. Nothing in the library selects it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The vectorized kernel set — the default backend.
+"""The vectorized kernel set — the library's production kernels.
 
 Same arithmetic as :mod:`repro.backend.reference`, restructured for
 throughput:
@@ -25,10 +25,10 @@ throughput:
   (:attr:`EngineOperands.offset_gain`): one (N, k) @ (k, cols) matmul
   replaces the per-group broadcast/where pass.
 
-Numerical interchangeability with ``reference`` (up to float rounding)
-is asserted by the shared equivalence suite in ``tests/backend/``.
+Agreement with ``reference`` (up to float rounding) is asserted by the
+equivalence suite in ``tests/backend/``.
 
-This module is the one sanctioned home of strided-window tricks in the
+This package is the one sanctioned home of strided-window tricks in the
 library (lint rule R7): consumers go through
 :func:`repro.backend.get_backend`, never through ``as_strided``.
 """

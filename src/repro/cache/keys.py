@@ -31,26 +31,30 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 4,      # trained workload weights (eval.experiments)
+    "workload": 5,      # trained workload weights (eval.experiments)
                         # v2: GEMM conv sums in a new order (last bits)
                         # v3: NaN-loss guard (no finite result changes)
                         # v4: no_grad eval/calibration; no result changes
+                        # v5: backend name left the key; one kernel set
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
-    "calibrate": 3,     # per-layer input activation peaks (core.pipeline)
+    "calibrate": 4,     # per-layer input activation peaks (core.pipeline)
                         # v2: conv forward is one GEMM (new summation order)
                         # v3: no_grad eval/calibration; no result changes
-    "gradients": 3,     # per-weight gradient RMS estimates (core.pipeline)
+                        # v4: backend name left the key; one kernel set
+    "gradients": 4,     # per-weight gradient RMS estimates (core.pipeline)
                         # v2: conv forward/backward are GEMMs (new order)
                         # v3: no_grad eval/calibration; no result changes
+                        # v4: backend name left the key; one kernel set
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 6,  # programmed deployments (serve.registry);
+    "serve_program": 7,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v4: key folds the backend name (tag alias gone)
                          # v5: array family name dropped, scenarios keyed
                          # from the deploy config
                          # v6: BN recal + PWT run the GEMM conv (new order)
+                         # v7: backend name left the key; one kernel set
 
 }
 

@@ -37,7 +37,7 @@ is exactly the device model's.
 
 ``serve`` starts a long-lived inference server over a programmed
 deployment (see ``repro.serve``): requests are micro-batched through
-the vectorized backend with responses bitwise identical to serving
+the library's kernels with responses bitwise identical to serving
 each request alone, programmed states warm-start from the artifact
 cache, and a bounded queue sheds overload with 429-style errors.
 
@@ -58,7 +58,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro import __version__
 
@@ -85,14 +85,6 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
                    help="parallel trial workers: 0 = auto (one per core, "
                         "capped by the trial count), 1 = serial. Results "
                         "are bit-identical either way (default: 0)")
-
-
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None, metavar="NAME",
-                   help="compute backend for all kernels (vectorized, "
-                        "reference; see 'repro backends'); default: "
-                        "$REPRO_BACKEND or vectorized. Every backend is "
-                        "numerically interchangeable")
 
 
 def _add_scenarios_arg(p: argparse.ArgumentParser) -> None:
@@ -122,7 +114,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--dva-sigma", type=float, default=None,
                    help="train with DVA variation injection at this sigma")
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -145,7 +136,6 @@ def _add_deploy(sub: argparse._SubParsersAction) -> None:
     _add_jobs_arg(p)
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -187,7 +177,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                         "get a 504-style error (default: none)")
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -201,7 +190,6 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
     _add_jobs_arg(p)
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -508,16 +496,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.backend import available_backends, default_backend_name
-    active = default_backend_name()
-    _echo("compute backends (REPRO_BACKEND / --backend):")
-    for name in available_backends():
-        marker = "*" if name == active else " "
-        _echo(f"{marker} {name}")
-    return 0
-
-
 def _cmd_info(_args: argparse.Namespace) -> int:
     import numpy
     import scipy
@@ -531,22 +509,10 @@ def _cmd_info(_args: argparse.Namespace) -> int:
           "(repro.parallel, bit-identical to serial)")
     _echo("serving:       repro serve (micro-batched, bitwise-"
           "reproducible; registry warm starts via the artifact cache)")
-    from repro.backend import available_backends, default_backend_name
-    _echo(f"backends:      {', '.join(available_backends())} "
-          f"(active: {default_backend_name()}; REPRO_BACKEND / --backend)")
     from repro.array.scenarios import available_scenarios
     _echo(f"scenarios:     {', '.join(available_scenarios())} "
           "(--scenarios 'name:param=value;…' on deploy/serve)")
     return 0
-
-
-def _check_registered(parser: argparse.ArgumentParser, kind: str, name: str,
-                      registered: Tuple[str, ...]) -> None:
-    """Exit with a usage error listing ``registered`` when ``name`` is
-    not one of them."""
-    if name not in registered:
-        parser.error(f"unknown {kind} {name!r} "
-                     f"(registered: {', '.join(registered)})")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -564,21 +530,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_overhead(sub)
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
-    sub.add_parser("backends",
-                   help="list compute backends; * marks the active one")
 
     args = parser.parse_args(argv)
-    from repro.backend import available_backends, default_backend_name
-    # The flag wins over the environment; either way an unknown name (a
-    # typo, or a stale REPRO_BACKEND) fails here, not inside the first
-    # forward pass.
-    backend = getattr(args, "backend", None)
-    _check_registered(parser, "backend", backend or default_backend_name(),
-                      available_backends())
-    if backend is not None:
-        # Exported through the environment (not set_default_backend) so
-        # --jobs worker processes inherit the same kernel set.
-        os.environ["REPRO_BACKEND"] = backend
     scenarios = getattr(args, "scenarios", None)
     if scenarios is not None:
         from repro.array.scenarios import parse_scenario_spec
@@ -589,8 +542,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "no_cache", False) and getattr(args, "cache_dir", None):
         parser.error("--no-cache and --cache-dir are mutually exclusive")
     if getattr(args, "no_cache", False):
-        # Same env-export pattern as --backend: worker processes and
-        # every library layer see one consistent cache policy.
+        # Exported through the environment so --jobs worker processes
+        # and every library layer see one consistent cache policy.
         os.environ["REPRO_CACHE"] = "0"
     elif getattr(args, "cache_dir", None):
         os.environ["REPRO_CACHE"] = str(args.cache_dir)
@@ -602,7 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "overhead": _cmd_overhead,
         "obs": _cmd_obs,
         "info": _cmd_info,
-        "backends": _cmd_backends,
     }
     return handlers[args.command](args)
 

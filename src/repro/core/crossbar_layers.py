@@ -181,13 +181,8 @@ class _CrossbarBase(Module):
         self.offsets.data[...] = np.clip(np.round(self.offsets.data),
                                          -half, half - 1)
 
-    def make_engine(self, adc: Optional[ADC] = None,
-                    backend: Optional[str] = None) -> CrossbarEngine:
-        """A bit-accurate engine view of this layer's current state.
-
-        ``backend`` selects the compute backend the engine dispatches
-        to (``None`` follows the process default).
-        """
+    def make_engine(self, adc: Optional[ADC] = None) -> CrossbarEngine:
+        """A bit-accurate engine view of this layer's current state."""
         input_scale = (self.input_quantizer.scale
                        if self.input_quantizer is not None else 1.0)
         input_bits = (self.input_quantizer.n_bits
@@ -199,7 +194,7 @@ class _CrossbarBase(Module):
             weight_bits=self.weight_bits, input_bits=input_bits,
             weight_scale=self.weight_scale,
             weight_zero_point=self.weight_zero_point,
-            input_scale=input_scale, adc=adc, backend=backend)
+            input_scale=input_scale, adc=adc)
 
     def _quantize_input(self, x: Tensor) -> Tensor:
         if self.input_quantizer is None:

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 from repro.array.scenarios import ScenarioSpec, parse_scenario_spec
 from repro.array.sim import SimArray
-from repro.backend import default_backend_name
 from repro.cache import (CacheStore, active_store, digest_array,
                          digest_arrays, stage_key)
 from repro.core.crossbar_layers import (CrossbarConv2d, CrossbarLinear,
@@ -357,13 +356,11 @@ class Deployer:
         n_cal = min(len(self.train_data), 256)
         images = self.train_data.images[:n_cal]
         # Peaks depend on every parameter/buffer the forward pass reads
-        # (not just mappable weights) and on the kernel backend's float
-        # numerics, so both enter the key.
+        # (not just mappable weights), so the whole state enters the key.
         components = dict(
             state=digest_arrays(self.model.state_dict()),
             images=digest_array(images),
-            input_bits=self.config.input_bits,
-            backend=default_backend_name())
+            input_bits=self.config.input_bits)
         arrays = self._stage(
             "calibrate", components,
             lambda: {"peaks": self._measure_peaks(images)},
@@ -408,8 +405,7 @@ class Deployer:
             labels=digest_array(self.train_data.labels),
             batches=self.config.grad_batches,
             batch_size=self.config.grad_batch_size,
-            seed=self._grad_seed,
-            backend=default_backend_name())
+            seed=self._grad_seed)
         arrays = self._stage("gradients", components,
                              self._compute_gradients, "deploy.gradients",
                              batches=self.config.grad_batches)

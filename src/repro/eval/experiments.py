@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.arch.area import tile_overhead
 from repro.arch.energy import deployment_reading_power
-from repro.backend import default_backend_name
 from repro.baselines.dva import DVA_DEVICES_PER_WEIGHT, DVAConfig, train_dva
 from repro.baselines.pm import (PM_DEVICES_PER_WEIGHT, PMConfig, deploy_pm)
 from repro.cache import resolve_store, stage_key
@@ -168,15 +167,13 @@ def build_workload(name: str, preset: str = "quick", seed: int = 0,
         train_state()
     else:
         # Every spec field that shapes the trained weights enters the
-        # key, so editing a preset invalidates its artifacts; backend
-        # numerics differ, so the backend name does too.
+        # key, so editing a preset invalidates its artifacts.
         key = stage_key(
             "workload", name=name, preset=preset, seed=seed, tag=tag,
             dataset=spec.dataset, n_samples=spec.n_samples,
             epochs=spec.epochs, batch_size=spec.batch_size, lr=spec.lr,
             weight_decay=spec.weight_decay,
-            noise_augment=spec.noise_augment,
-            backend=default_backend_name())
+            noise_augment=spec.noise_augment)
         state = store.fetch(key, train_state, stage="workload",
                             metadata={"workload": name, "preset": preset,
                                       "seed": seed, "tag": tag})

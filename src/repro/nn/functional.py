@@ -3,19 +3,18 @@
 Convolution, pooling and eval-mode batch normalisation are implemented
 as autograd primitives (with hand-written backward passes) because
 composing them from elementwise ops would be prohibitively slow in
-numpy. A convolution is one BLAS GEMM per pass over the backend's
-channels-last crossbar-row matrix, and its output lives in channels-last
-memory behind an NCHW view. The window kernels themselves (im2col /
-col2im / pooling windows) are *not* implemented here: they dispatch to
-the active compute backend (:func:`repro.backend.get_backend`), so the
-same autograd graph runs unchanged on the loop-based ``reference``
-kernels or the default ``vectorized`` ones. Max pooling over
-non-overlapping windows (``stride == kernel_size``) takes its k*k taps
-straight from the backend's window view and never folds through
-col2im; eval-mode batch norm needs no window kernel and runs
-per-channel arithmetic on the (N, H, W, C) view of its input. Both are
-bitwise equal to the argmax-gather / composed paths they replace.
-Everything here is validated against finite differences in ``tests/nn``.
+numpy. A convolution is one BLAS GEMM per pass over the channels-last
+crossbar-row matrix, and its output lives in channels-last memory
+behind an NCHW view. The window kernels themselves (im2col / col2im /
+pooling windows) are *not* implemented here: they belong to the
+library's kernel set (:func:`repro.backend.get_backend`), resolved on
+every call so the tests can run the same autograd graph on the
+loop-based reference oracle. Max pooling takes its k*k taps straight
+from the pooling-window view and never folds through col2im; eval-mode
+batch norm needs no window kernel and runs per-channel arithmetic on
+the (N, H, W, C) view of its input. Both are bitwise equal to the
+argmax-gather / composed paths they replace. Everything here is
+validated against finite differences in ``tests/nn``.
 """
 
 from __future__ import annotations
@@ -31,16 +30,14 @@ from repro.utils.rng import make_rng
 
 
 # ----------------------------------------------------------------------
-# im2col / col2im (dispatched to the active backend)
+# im2col / col2im (dispatched to the kernel set)
 # ----------------------------------------------------------------------
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
            pad: int) -> Tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
 
-    A transposed view of the backend's crossbar-row matrix
-    (N*OH*OW, C*kh*kw) — the kernel belongs to the active compute
-    backend (``REPRO_BACKEND`` / ``--backend``). :func:`conv2d` uses
-    the backend matrix directly.
+    A transposed view of the kernel set's crossbar-row matrix
+    (N*OH*OW, C*kh*kw). :func:`conv2d` uses that matrix directly.
     """
     cols, oh, ow = get_backend().im2col(x, kh, kw, stride, pad)
     n = x.shape[0]
@@ -51,7 +48,7 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
            kw: int, stride: int, pad: int) -> np.ndarray:
     """Fold columns (N, C*kh*kw, OH*OW) back into an image of shape
     ``x_shape``, accumulating overlaps (:func:`im2col` adjoint);
-    dispatched to the backend."""
+    dispatched to the kernel set."""
     rows = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
     return get_backend().col2im(rows, x_shape, kh, kw, stride, pad)
 
@@ -65,7 +62,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2-D convolution (cross-correlation), NCHW layout.
 
     ``weight`` has shape (F, C, kh, kw). One GEMM per pass over the
-    backend's crossbar-row matrix ``cols`` (N*OH*OW, C*kh*kw): the
+    im2col crossbar-row matrix ``cols`` (N*OH*OW, C*kh*kw): the
     forward is ``cols @ W`` with ``W = weight.reshape(F, -1).T``, and
     the output is an (N, F, OH, OW) view over channels-last
     (N, OH, OW, F) memory. The backward reuses ``cols``.
@@ -100,13 +97,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # ----------------------------------------------------------------------
 def _pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """View ``x`` (N, C, H, W) as windows (N, C, k, k, OH, OW);
-    dispatched to the active backend."""
+    dispatched to the kernel set."""
     return get_backend().pool_windows(x, k, stride)
 
 
 def _flat_pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """The pooling windows of ``x`` as (N, C, k*k, OH, OW), taps in
-    window order (a copy when the backend's windows are a view)."""
+    window order (a copy when the windows are a view)."""
     windows = _pool_windows(x, k, stride)
     n, c, _, _, oh, ow = windows.shape
     return windows.reshape(n, c, k * k, oh, ow)
@@ -115,32 +112,40 @@ def _flat_pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 def _fold_windows(dwin: np.ndarray, x_shape: Tuple[int, int, int, int],
                   k: int, stride: int) -> np.ndarray:
     """Fold per-window gradients (N, OH, OW, C, k*k) back onto the image
-    through the backend's col2im: each channel's k*k window is one
+    through col2im: each channel's k*k window is one
     kh x kw kernel tap set of the crossbar-row matrix."""
     n, oh, ow, c, kk = dwin.shape
     return get_backend().col2im(dwin.reshape(n * oh * ow, c * kk), x_shape,
                                 k, k, stride, 0)
 
 
-def _max_pool_disjoint(x: Tensor, k: int) -> Tensor:
-    """Max pooling over non-overlapping k x k windows (stride == k).
+@check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
+def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
+    """Max pooling with square windows. ``stride`` defaults to ``kernel_size``.
 
     The forward is an ``np.maximum`` chain over the k*k taps of the
-    backend's pooling windows, in window order; on the vectorized
-    backend each tap is a zero-copy strided slice of ``x``, so the
-    output keeps ``x``'s memory layout. The backward writes ``g`` into
-    each tap's slice of a zero gradient under a first-max mask: a tap
+    pooling windows, in window order, with each new tap as the *first*
+    operand: ``np.maximum`` returns its second operand on ties, so the
+    running max keeps the earliest of equal taps (``+0.0`` over a later
+    ``-0.0``) and NaNs propagate. Each tap is a strided view of ``x``,
+    so the output keeps ``x``'s memory layout. The backward adds ``g``
+    into each tap's slice of a zero gradient under a first-max mask
+    (``+0.0`` elsewhere, which leaves every sum's bits alone): a tap
     takes the gradient when it holds the window max (or is NaN) and no
-    earlier tap did, which is ``argmax``'s rule for ties and NaNs. Rows
-    and columns past the last full window get zero gradient.
+    earlier tap did. This is ``argmax``'s rule for ties and NaNs, so
+    forward and backward are bitwise those of an argmax gather and its
+    col2im scatter-add, for overlapping and disjoint windows alike.
+    Rows and columns past the last full window get zero gradient.
     """
+    k = kernel_size
+    stride = stride or k
     data = x.data
-    windows = _pool_windows(data, k, k)
+    windows = _pool_windows(data, k, stride)
     oh, ow = windows.shape[-2:]
     taps = [(i, j) for i in range(k) for j in range(k)]
-    out = np.maximum(windows[:, :, 0, 0], windows[:, :, 0, 1])
-    for i, j in taps[2:]:
-        np.maximum(out, windows[:, :, i, j], out=out)
+    out = windows[:, :, 0, 0].copy(order="K")
+    for i, j in taps[1:]:
+        np.maximum(windows[:, :, i, j], out, out=out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -155,45 +160,12 @@ def _max_pool_disjoint(x: Tensor, k: int) -> Tensor:
             else:
                 hit &= ~taken
                 taken |= hit
-            np.copyto(dx[:, :, i:i + k * oh:k, j:j + k * ow:k], g, where=hit)
+            dx_tap = dx[:, :, i:i + stride * oh:stride,
+                        j:j + stride * ow:stride]
+            dx_tap += np.where(hit, g, 0.0)
         x._accumulate(dx)
 
     return Tensor._make(out, (x,), backward)
-
-
-def _max_pool_windowed(x: Tensor, k: int, stride: int) -> Tensor:
-    """Max pooling through the backend's pooling windows: an ``argmax``
-    gather forward, a ``put_along_axis`` + col2im fold backward."""
-    windows = _flat_pool_windows(x.data, k, stride)
-    arg = windows.argmax(axis=2)
-    out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
-    n, c, oh, ow = out.shape
-    x_shape = x.shape
-
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dwin = np.zeros((n, oh, ow, c, k * k), dtype=np.float64)
-        np.put_along_axis(dwin.transpose(0, 3, 4, 1, 2), arg[:, :, None],
-                          g[:, :, None], axis=2)
-        x._accumulate(_fold_windows(dwin, x_shape, k, stride))
-
-    return Tensor._make(out, (x,), backward)
-
-
-@check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])
-def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling with square windows. ``stride`` defaults to ``kernel_size``.
-
-    Non-overlapping windows (``stride == kernel_size > 1``) take the
-    tap-wise :func:`_max_pool_disjoint`; overlapping ones an ``argmax``
-    gather over the flattened windows.
-    """
-    k = kernel_size
-    stride = stride or k
-    if stride == k > 1:
-        return _max_pool_disjoint(x, k)
-    return _max_pool_windowed(x, k, stride)
 
 
 @check_shapes("(n,c,_,_)->(n,c,_,_)", arg_names=["x"])

@@ -21,7 +21,7 @@ SCHEMA = "repro.obs.manifest/v1"
 
 #: Environment variables worth recording (reproducibility knobs).
 _ENV_KEYS = ("REPRO_OBS", "REPRO_DEBUG", "REPRO_LOG_LEVEL",
-             "REPRO_BENCH_PRESET", "REPRO_BACKEND")
+             "REPRO_BENCH_PRESET")
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:

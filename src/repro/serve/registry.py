@@ -10,8 +10,7 @@ masks, and the deployed model's full parameter/buffer state dict
 :mod:`repro.cache` object store, keyed by a ``serve_program`` stage key
 over everything that determines the state: the float model weights,
 the training data the post-programming tuning consumed, every config
-field of the deployment, the compute backend, and the deployer /
-programming seeds.
+field of the deployment, and the deployer / programming seeds.
 
 A restarted server with the same configuration therefore *warm-starts*:
 it reconstructs the deployer (cheap — its stages are themselves
@@ -28,7 +27,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.array.scenarios import scenario_key_components
-from repro.backend import get_backend
 from repro.cache import CacheStore, active_store, digest_array, digest_arrays
 from repro.cache.keys import stage_key
 from repro.core.pipeline import Deployer
@@ -76,8 +74,8 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
     it), the device physics, the stuck-at fault rates and the
     scenario-stack parameters (two runs share programmed state only
     when the arrays would reproduce it), all deployment config fields,
-    the active kernel backend's name, and the seeds of both the
-    deployer's preparation stream and the programming cycle itself.
+    and the seeds of both the deployer's preparation stream and the
+    programming cycle itself.
     """
     cfg = deployer.config
     components: Dict[str, Any] = dict(device_key_components(deployer.device))
@@ -99,7 +97,6 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
         bn_recalibrate=cfg.bn_recalibrate,
         saf_rates=cfg.saf_rates,
         pwt=dataclasses.asdict(cfg.pwt),
-        backend=get_backend().name,
         deployer_seed=_seed_components(deployer_seed),
         program_seed=_seed_components(program_seed))
     return stage_key("serve_program", **components)

@@ -13,14 +13,15 @@ This models the full ISAAC-style datapath of Fig. 1(b) and Fig. 4:
 * the ISAAC weight shift subtracts ``zero_point * sum(x)`` at the end.
 
 The engine owns the *semantics* of this pipeline; the arithmetic itself
-is executed by the active compute backend
-(:func:`repro.backend.get_backend` — the loop-based ``reference``
-kernels or the default ``vectorized`` ones). All forward-invariant
-state (cell tensor, significances, registers, complement algebra, and
-the packed ideal-ADC weight matrix) is precomputed once at construction
-into :class:`repro.backend.EngineOperands`, so repeated ``forward``
-calls — and every trial or served request after programming —
-recompute nothing.
+is executed by the library's kernel set
+(:func:`repro.backend.get_backend`), resolved on every ``forward`` so
+the tests can swap in the loop-based reference oracle. All
+forward-invariant state (cell tensor, significances, registers,
+complement algebra, and the packed ideal-ADC weight matrix) is
+precomputed once at construction into
+:class:`repro.backend.EngineOperands`, so repeated ``forward`` calls —
+and every trial or served request after programming — recompute
+nothing.
 
 With an ideal ADC the result equals the fast float path used by
 :mod:`repro.core.crossbar_layers` exactly (up to float rounding) — the
@@ -72,9 +73,6 @@ class CrossbarEngine:
         Dequantization parameters.
     adc:
         ADC applied to every cell-column group current.
-    backend:
-        Compute-backend name executing the kernels; ``None`` follows
-        the process default (``REPRO_BACKEND`` / ``--backend``).
     """
 
     cells: np.ndarray
@@ -88,7 +86,6 @@ class CrossbarEngine:
     weight_zero_point: int = 0
     input_scale: float = 1.0
     adc: Optional[ADC] = None
-    backend: Optional[str] = None
 
     def __post_init__(self):
         rows, cols, n_cells = self.cells.shape
@@ -101,12 +98,10 @@ class CrossbarEngine:
             raise ValueError(f"complement mask must be {expected}")
         if self.adc is None:
             self.adc = ADC()
-        if self.backend is not None:
-            get_backend(self.backend)    # unknown names fail at build time
         self._significance = cell_significances(self.weight_bits, self.cell.bits)
         if len(self._significance) != n_cells:
             raise ValueError("cell count inconsistent with bit widths")
-        # Forward-invariant operand cache shared by all backends.
+        # Forward-invariant operand cache for the engine_vmm kernel.
         self._operands = EngineOperands(
             cells=self.cells, significance=self._significance,
             registers=self.registers, complement=self.complement,
@@ -136,14 +131,13 @@ class CrossbarEngine:
 
         Quantizes the inputs, hands the integer-domain VMM (bit-serial
         accumulation + Eq. 7 offset/complement post-processing + the
-        ISAAC zero-point correction) to the active backend's
-        ``engine_vmm`` kernel over the cached operands, then
-        dequantizes.
+        ISAAC zero-point correction) to the ``engine_vmm`` kernel over
+        the cached operands, then dequantizes.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         obs_metrics.inc("xbar.engine.vmm_batches", x.shape[0])
         xq = self.quantize_inputs(x)                        # (N, rows)
-        z = get_backend(self.backend).engine_vmm(xq, self._operands)
+        z = get_backend().engine_vmm(xq, self._operands)
         return self.input_scale * self.weight_scale * z
 
     def effective_weights(self) -> np.ndarray:

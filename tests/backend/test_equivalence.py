@@ -1,19 +1,24 @@
-"""Every backend must reproduce the loop-based reference to float rounding.
+"""The production kernels must reproduce the loop-based oracle to float rounding.
 
-The ``reference`` backend is the original code moved verbatim and acts
-as the correctness oracle; the sweep below drives every other
-registered backend (``vectorized``, …) over dense engines (ideal and
-finite-resolution ADC, complemented offset groups, partial last
-groups, boolean-masked rows) and the conv/pooling window kernels (odd
-shapes, stride, padding). Engine and conv outputs must agree within
-rtol/atol 1e-9, col2im within 1e-12, and im2col (the channels-last
-crossbar-row matrix) and the pooling windows bitwise.
+:class:`~repro.backend.reference.ReferenceBackend` is the original code
+moved verbatim and acts as the correctness oracle; the sweep below
+drives the kernel set :func:`~repro.backend.get_backend` returns over
+dense engines (ideal and finite-resolution ADC, complemented offset
+groups, partial last groups, boolean-masked rows) and the conv/pooling
+window kernels (odd shapes, stride, padding). Engine and conv outputs
+must agree within rtol/atol 1e-9, col2im within 1e-12, and im2col (the
+channels-last crossbar-row matrix) and the pooling windows bitwise. The
+semantic checks (wordline rows, adjoint, read-only taps) run on both
+kernel sets. Engines and layer ops resolve their kernels at call time,
+so those tests run them on each kernel set through the
+``swap_kernels`` fixture.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend, use_backend
+from repro.backend import get_backend
+from repro.backend.reference import ReferenceBackend
 from repro.core.offsets import OffsetPlan
 from repro.device.cell import MLC2, SLC
 from repro.device.lut import DeviceModel
@@ -24,11 +29,14 @@ from repro.utils.rng import make_rng
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
 
-OTHER_BACKENDS = [n for n in available_backends() if n != "reference"]
+ORACLE = ReferenceBackend()
+#: The production kernel set, checked against the oracle.
+PRODUCTION = [pytest.param(get_backend(), id=get_backend().name)]
+#: Both kernel sets, for the checks each must pass on its own.
+BOTH = [pytest.param(ORACLE, id=ORACLE.name), *PRODUCTION]
 
 
-def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False,
-                 backend=None):
+def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False):
     rng = make_rng(seed)
     device = DeviceModel(cell, VariationModel(0.5), n_bits=8)
     plan = OffsetPlan(rows, cols, m)
@@ -41,13 +49,21 @@ def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False,
     return CrossbarEngine(
         cells=cells, plan=plan, registers=registers, complement=complement,
         cell=cell, weight_bits=8, input_bits=8, weight_scale=0.01,
-        weight_zero_point=128, input_scale=1 / 255, adc=adc, backend=backend)
+        weight_zero_point=128, input_scale=1 / 255, adc=adc)
+
+
+def on_both(swap_kernels, kernels, run):
+    """``run()`` on the oracle, then on ``kernels``."""
+    swap_kernels(ORACLE)
+    ref = run()
+    swap_kernels(kernels)
+    return ref, run()
 
 
 class TestEngineVMM:
-    """Dense bit-serial VMM: reference vs every other backend."""
+    """Dense bit-serial VMM: the oracle vs the production kernels."""
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("complemented", [False, True],
                              ids=["plain", "complement"])
     @pytest.mark.parametrize("adc", [None, ADC(bits=6, full_scale=64.0)],
@@ -56,47 +72,43 @@ class TestEngineVMM:
     @pytest.mark.parametrize("rows,m", [(16, 8), (13, 8), (16, 4), (7, 16)],
                              ids=["even", "partial-group", "m4",
                                   "one-short-group"])
-    def test_matches_reference(self, backend, complemented, adc, cell,
-                               rows, m):
-        args = dict(rows=rows, cols=5, m=m, cell=cell, seed=11, adc=adc,
-                    complemented=complemented)
-        ref = build_engine(backend="reference", **args)
-        alt = build_engine(backend=backend, **args)
+    def test_matches_reference(self, swap_kernels, kernels, complemented,
+                               adc, cell, rows, m):
+        engine = build_engine(rows=rows, cols=5, m=m, cell=cell, seed=11,
+                              adc=adc, complemented=complemented)
         x = make_rng(12).uniform(0, 1, size=(6, rows))
-        np.testing.assert_allclose(alt.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)
+        ref, alt = on_both(swap_kernels, kernels, lambda: engine.forward(x))
+        np.testing.assert_allclose(alt, ref, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_single_vector_and_empty_batch(self, backend):
-        ref = build_engine(16, 3, 8, SLC, seed=3, backend="reference")
-        alt = build_engine(16, 3, 8, SLC, seed=3, backend=backend)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    def test_single_vector_and_empty_batch(self, swap_kernels, kernels):
+        engine = build_engine(16, 3, 8, SLC, seed=3)
         x1 = make_rng(4).uniform(0, 1, size=16)          # 1-D input
-        np.testing.assert_allclose(alt.forward(x1), ref.forward(x1),
-                                   rtol=1e-9, atol=1e-9)
         x0 = np.zeros((0, 16))
-        assert alt.forward(x0).shape == ref.forward(x0).shape == (0, 3)
+        ref, alt = on_both(swap_kernels, kernels,
+                           lambda: (engine.forward(x1), engine.forward(x0)))
+        np.testing.assert_allclose(alt[0], ref[0], rtol=1e-9, atol=1e-9)
+        assert alt[1].shape == ref[1].shape == (0, 3)
 
     @pytest.mark.parametrize("adc", [None, ADC(bits=6, full_scale=64.0)],
                              ids=["ideal-adc", "6bit-adc"])
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_boolean_masked_rows(self, backend, adc):
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    def test_boolean_masked_rows(self, swap_kernels, kernels, adc):
         """Inactive wordlines (boolean-masked / all-zero rows) must not
-        perturb any backend: zeroed drives still contribute the digital
+        perturb the kernels: zeroed drives still contribute the digital
         offset of their group exactly like the reference."""
         rows = 19
-        ref = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
-                           complemented=True, backend="reference")
-        alt = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
-                           complemented=True, backend=backend)
+        engine = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
+                              complemented=True)
         x = make_rng(8).uniform(0, 1, size=(5, rows))
         mask = make_rng(9).random(rows) > 0.5
         x[:, mask] = 0.0
-        np.testing.assert_allclose(alt.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)
         x_all_masked = np.zeros((3, rows))
-        np.testing.assert_allclose(alt.forward(x_all_masked),
-                                   ref.forward(x_all_masked),
-                                   rtol=1e-9, atol=1e-9)
+        ref, alt = on_both(
+            swap_kernels, kernels,
+            lambda: (engine.forward(x), engine.forward(x_all_masked)))
+        for got, expected in zip(alt, ref):
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
     def test_packed_ideal_weights_reproduce_engine_output(self):
         """One GEMM against the cached packed matrix equals the full
@@ -105,7 +117,7 @@ class TestEngineVMM:
         engine = build_engine(13, 5, 8, MLC2, seed=5, complemented=True)
         op = engine._operands
         xq = make_rng(6).integers(0, 256, size=(7, 13))
-        expected = get_backend("reference").engine_vmm(xq, op)
+        expected = ORACLE.engine_vmm(xq, op)
         packed = xq.astype(np.float64) @ op.packed_ideal_weights
         np.testing.assert_allclose(packed, expected, rtol=1e-9, atol=1e-9)
 
@@ -141,27 +153,25 @@ class TestWindowKernels:
         return ((h + 2 * pad - kh) // stride + 1,
                 (w + 2 * pad - kw) // stride + 1)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_im2col(self, backend, shape):
+    def test_im2col(self, kernels, shape):
         n, c, h, w, kh, kw, stride, pad = shape
         x = make_rng(20).normal(size=(n, c, h, w))
-        ref, oh_ref, ow_ref = get_backend("reference").im2col(
-            x, kh, kw, stride, pad)
-        alt, oh_alt, ow_alt = get_backend(backend).im2col(
-            x, kh, kw, stride, pad)
+        ref, oh_ref, ow_ref = ORACLE.im2col(x, kh, kw, stride, pad)
+        alt, oh_alt, ow_alt = kernels.im2col(x, kh, kw, stride, pad)
         assert (oh_alt, ow_alt) == (oh_ref, ow_ref) == self._out_hw(shape)
         assert alt.shape == ref.shape == (n * oh_ref * ow_ref, c * kh * kw)
         np.testing.assert_array_equal(alt, ref)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernels", BOTH)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_im2col_rows_are_wordline_vectors(self, backend, shape):
+    def test_im2col_rows_are_wordline_vectors(self, kernels, shape):
         """Row n*OH*OW + i*OW + j is the padded (C, kh, kw) patch under
         output pixel (i, j) of image n, flattened in crossbar row order."""
         n, c, h, w, kh, kw, stride, pad = shape
         x = make_rng(23).normal(size=(n, c, h, w))
-        cols, oh, ow = get_backend(backend).im2col(x, kh, kw, stride, pad)
+        cols, oh, ow = kernels.im2col(x, kh, kw, stride, pad)
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         for ni in range(n):
             for i in range(oh):
@@ -171,25 +181,22 @@ class TestWindowKernels:
                     np.testing.assert_array_equal(
                         cols[ni * oh * ow + i * ow + j], patch.ravel())
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_col2im_adjoint(self, backend, shape):
+    def test_col2im_adjoint(self, kernels, shape):
         n, c, h, w, kh, kw, stride, pad = shape
         oh, ow = self._out_hw(shape)
         cols = make_rng(21).normal(size=(n * oh * ow, c * kh * kw))
-        ref = get_backend("reference").col2im(
-            cols, (n, c, h, w), kh, kw, stride, pad)
-        alt = get_backend(backend).col2im(
-            cols, (n, c, h, w), kh, kw, stride, pad)
+        ref = ORACLE.col2im(cols, (n, c, h, w), kh, kw, stride, pad)
+        alt = kernels.col2im(cols, (n, c, h, w), kh, kw, stride, pad)
         assert alt.shape == ref.shape == (n, c, h, w)
         np.testing.assert_allclose(alt, ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernels", BOTH)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_col2im_is_im2col_adjoint(self, backend, shape):
+    def test_col2im_is_im2col_adjoint(self, kernels, shape):
         """<im2col(x), y> == <x, col2im(y)> on the crossbar-row matrix."""
         n, c, h, w, kh, kw, stride, pad = shape
-        kernels = get_backend(backend)
         rng = make_rng(24)
         x = rng.normal(size=(n, c, h, w))
         cols, _, _ = kernels.im2col(x, kh, kw, stride, pad)
@@ -198,23 +205,23 @@ class TestWindowKernels:
         np.testing.assert_allclose((cols * y).sum(), (x * back).sum(),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("k,stride", [(2, 2), (3, 1), (3, 2), (2, 3)])
-    def test_pool_windows(self, backend, k, stride):
+    def test_pool_windows(self, kernels, k, stride):
         x = make_rng(22).normal(size=(2, 3, 7, 9))
-        ref = get_backend("reference").pool_windows(x, k, stride)
-        alt = get_backend(backend).pool_windows(x, k, stride)
+        ref = ORACLE.pool_windows(x, k, stride)
+        alt = kernels.pool_windows(x, k, stride)
         np.testing.assert_array_equal(alt, ref)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernels", BOTH)
     @pytest.mark.parametrize("k,stride", [(2, 2), (3, 3), (3, 2)])
-    def test_pool_window_taps_are_strided_slices(self, backend, k, stride):
+    def test_pool_window_taps_are_strided_slices(self, kernels, k, stride):
         """``windows[:, :, i, j]`` is tap (i, j) of every window, in any
         input layout, and the windows are read-only."""
         x = make_rng(23).normal(size=(2, 3, 8, 9))
         for data in (x, np.ascontiguousarray(
                 x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
-            windows = get_backend(backend).pool_windows(data, k, stride)
+            windows = kernels.pool_windows(data, k, stride)
             oh, ow = (8 - k) // stride + 1, (9 - k) // stride + 1
             assert windows.shape == (2, 3, k, k, oh, ow)
             assert not windows.flags.writeable
@@ -228,8 +235,8 @@ class TestWindowKernels:
 class TestLayerOps:
     """Whole forward/backward ops through the dispatch layer."""
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_conv2d_forward_and_grad(self, backend):
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    def test_conv2d_forward_and_grad(self, swap_kernels, kernels):
         rng = make_rng(30)
         x_data = rng.normal(size=(2, 3, 7, 7))
         w_data = rng.normal(size=(4, 3, 3, 3))
@@ -241,16 +248,14 @@ class TestLayerOps:
             y.sum().backward()
             return y.data, x.grad, w.grad
 
-        with use_backend("reference"):
-            y_ref, gx_ref, gw_ref = run()
-        with use_backend(backend):
-            y_alt, gx_alt, gw_alt = run()
+        (y_ref, gx_ref, gw_ref), (y_alt, gx_alt, gw_alt) = on_both(
+            swap_kernels, kernels, run)
         np.testing.assert_allclose(y_alt, y_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gx_alt, gx_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gw_alt, gw_ref, rtol=1e-9, atol=1e-9)
 
     @staticmethod
-    def _check_pooling(backend, op, k, stride):
+    def _check_pooling(swap_kernels, kernels, op, k, stride):
         x_data = make_rng(31).normal(size=(2, 3, 6, 6))
 
         def run():
@@ -259,24 +264,21 @@ class TestLayerOps:
             y.sum().backward()
             return y.data, x.grad
 
-        with use_backend("reference"):
-            y_ref, g_ref = run()
-        with use_backend(backend):
-            y_alt, g_alt = run()
+        (y_ref, g_ref), (y_alt, g_alt) = on_both(swap_kernels, kernels, run)
         np.testing.assert_array_equal(y_alt, y_ref)
         np.testing.assert_array_equal(g_alt, g_ref)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
                              ids=["max", "avg"])
-    def test_pooling(self, backend, op):
-        self._check_pooling(backend, op, 2, 2)
+    def test_pooling(self, swap_kernels, kernels, op):
+        self._check_pooling(swap_kernels, kernels, op, 2, 2)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @pytest.mark.parametrize("kernels", PRODUCTION)
     @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
                              ids=["max", "avg"])
-    def test_pooling_overlapping_windows(self, backend, op):
-        """k=3/stride=2 windows overlap, so max-pool takes the argmax
-        gather over flattened windows instead of the disjoint tap-wise
-        primitive that ``test_pooling`` exercises."""
-        self._check_pooling(backend, op, 3, 2)
+    def test_pooling_overlapping_windows(self, swap_kernels, kernels, op):
+        """k=3/stride=2 windows overlap, so max-pool's backward adds
+        into the same input element from several taps, and avg-pool's
+        col2im fold accumulates overlaps."""
+        self._check_pooling(swap_kernels, kernels, op, 3, 2)

@@ -26,6 +26,25 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def swap_kernels(monkeypatch):
+    """Make :func:`repro.backend.get_backend` serve another kernel set.
+
+    Returns ``swap(kernels)``, which installs ``kernels`` (e.g. the
+    :class:`~repro.backend.reference.ReferenceBackend` oracle) as the
+    instance every library hot path dispatches to, and returns it. The
+    production instance comes back when the test ends. Worker processes
+    do not see the swap, so tests using it run with ``jobs=1``.
+    """
+    import repro.backend
+
+    def swap(kernels):
+        monkeypatch.setattr(repro.backend, "_KERNELS", kernels)
+        return kernels
+
+    return swap
+
+
+@pytest.fixture
 def rng():
     return make_rng(0)
 

@@ -9,14 +9,15 @@ BatchNorm and 1x1 projection shortcuts (ResNet).
 import numpy as np
 import pytest
 
+from repro.backend.reference import ReferenceBackend
 from repro.core import (DeployConfig, Deployer, PWTConfig,
                         recalibrate_batchnorm)
 from repro.core.crossbar_layers import CrossbarConv2d, CrossbarLinear
 from repro.core.pwt import crossbar_modules, run_pwt
 from repro.data.loaders import Dataset
 from repro.nn.models import LeNet, resnet_tiny
-from repro.nn.tensor import Tensor
-from repro.nn.trainer import evaluate_accuracy
+from repro.nn.tensor import Tensor, no_grad
+from repro.nn.trainer import evaluate_accuracy, train_classifier
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +158,41 @@ class TestCrossbarCount:
         # conv1 25x6 -> 1; conv2 150x16 -> 2; fc 400x120 -> 4*8=32;
         # fc 120x84 -> 6; fc 84x10 -> 1. Total 42.
         assert deployer.crossbar_count() == 1 + 2 + 32 + 6 + 1
+
+
+class TestReferenceKernelParity:
+    """A whole trained-and-deployed LeNet agrees on the production
+    kernels and on the loop-based reference oracle: training, input
+    calibration, gradient estimation, VAWO*, programming and PWT all run
+    once on each kernel set."""
+
+    #: The two kernel sets sum in different orders, so the contract is
+    #: agreement to float rounding on logits and PWT registers.
+    TOL = dict(rtol=1e-9, atol=1e-9)
+
+    @staticmethod
+    def _deploy(data):
+        model = LeNet(rng=0)
+        train_classifier(model, data, epochs=3, batch_size=32, lr=3e-3,
+                         rng=0)
+        cfg = DeployConfig.from_method(
+            "vawo*+pwt", sigma=0.5, granularity=16, grad_batches=1,
+            grad_batch_size=32, pwt=PWTConfig(epochs=1, batch_size=32))
+        deployed = Deployer(model, data, cfg, rng=0).program(rng=1)
+        accuracy = evaluate_accuracy(deployed, data)
+        with no_grad():
+            logits = deployed(Tensor(data.images)).data
+        registers = [m.offsets.data.copy() for m in crossbar_modules(deployed)]
+        return accuracy, logits, registers
+
+    def test_lenet_vawo_pwt(self, digit_data, swap_kernels, monkeypatch):
+        # Uncached, so the oracle run recomputes every stage itself.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        acc, logits, registers = self._deploy(digit_data)
+        swap_kernels(ReferenceBackend())
+        ref_acc, ref_logits, ref_registers = self._deploy(digit_data)
+        assert acc == ref_acc > 0.3
+        np.testing.assert_allclose(logits, ref_logits, **self.TOL)
+        assert len(registers) == len(ref_registers) == 5
+        for got, expected in zip(registers, ref_registers):
+            np.testing.assert_allclose(got, expected, **self.TOL)

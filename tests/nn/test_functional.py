@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.reference import ReferenceBackend
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from tests.helpers import gradcheck, numeric_grad
@@ -164,23 +165,58 @@ def _channels_last(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+def argmax_max_pool(x, k, stride):
+    """The max-pool oracle: an ``argmax`` gather over the flattened
+    pooling windows forward, a ``put_along_axis`` scatter folded back
+    through col2im backward."""
+    windows = F._flat_pool_windows(x.data, k, stride)
+    arg = windows.argmax(axis=2)
+    out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+    n, c, oh, ow = out.shape
+
+    def backward(g):
+        if not x.requires_grad:
+            return
+        dwin = np.zeros((n, oh, ow, c, k * k), dtype=np.float64)
+        np.put_along_axis(dwin.transpose(0, 3, 4, 1, 2), arg[:, :, None],
+                          g[:, :, None], axis=2)
+        x._accumulate(F._fold_windows(dwin, x.shape, k, stride))
+
+    return Tensor._make(out, (x,), backward)
+
+
+def assert_bitwise_equal(actual, expected):
+    """Equal shapes and equal bytes: tells ``+0.0`` from ``-0.0``, which
+    ``assert_array_equal`` does not."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual, dtype=np.float64).view(np.uint64),
+        np.ascontiguousarray(expected, dtype=np.float64).view(np.uint64))
+
+
+def check_max_pool_against_oracle(x_data, k, stride, rng):
+    """``max_pool2d`` and :func:`argmax_max_pool` agree bitwise on
+    ``x_data``, in output and in the input gradient of a random
+    upstream gradient."""
+    results = []
+    for pool in (F.max_pool2d, argmax_max_pool):
+        x = Tensor(x_data, requires_grad=True)
+        out = pool(x, k, stride)
+        if not results:
+            g = rng.normal(size=out.shape)
+        out.backward(g)
+        results.append((out.data, x.grad))
+    (out, dx), (ref_out, ref_dx) = results
+    assert_bitwise_equal(out, ref_out)
+    assert_bitwise_equal(dx, ref_dx)
+
+
 class TestDisjointMaxPoolParity:
-    """The stride == k max-pool primitive equals the windowed argmax
-    path, in output and input gradient."""
+    """Over non-overlapping windows (stride == k) max-pool equals the
+    argmax oracle bitwise, in output and input gradient."""
 
     def _check(self, x_data, k, rng):
-        n, c, h, w = x_data.shape
-        g = rng.normal(size=(n, c, h // k, w // k))
-        results = []
-        for pool in (F._max_pool_disjoint,
-                     lambda x, k: F._max_pool_windowed(x, k, k)):
-            x = Tensor(x_data, requires_grad=True)
-            out = pool(x, k)
-            out.backward(g)
-            results.append((out.data, x.grad))
-        (out, dx), (ref_out, ref_dx) = results
-        np.testing.assert_array_equal(out, ref_out)
-        np.testing.assert_array_equal(dx, ref_dx)
+        check_max_pool_against_oracle(x_data, k, k, rng)
 
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
     @pytest.mark.parametrize("k,h,w", [(2, 8, 6), (2, 7, 9), (3, 9, 6),
@@ -241,15 +277,57 @@ class TestDisjointMaxPoolParity:
         assert not x.grad[0, 0, 4].any() and not x.grad[0, 0, :, 6].any()
         assert x.grad.sum() == 6
 
-    def test_public_op_takes_the_disjoint_path(self, rng, monkeypatch):
+    def test_public_op_never_folds_through_col2im(self, rng, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("disjoint max-pool took the argmax path")
+            raise AssertionError("max-pool took the argmax/col2im path")
 
-        monkeypatch.setattr(F, "_max_pool_windowed", forbidden)
+        monkeypatch.setattr(F, "_flat_pool_windows", forbidden)
         monkeypatch.setattr(F, "_fold_windows", forbidden)
         x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-        F.max_pool2d(x, 2).sum().backward()
-        F.max_pool2d(x, 3, stride=3).sum().backward()
+        for k, stride in [(2, 2), (3, 3), (3, 2), (1, 2)]:
+            F.max_pool2d(x, k, stride).sum().backward()
+
+
+class TestMaxPoolSweep:
+    """One max-pool path for every window size and stride: bitwise the
+    argmax oracle, forward and backward, on both kernel sets."""
+
+    @staticmethod
+    def _case(rng):
+        """One random (input, k, stride): rounded, ReLU'd or NaN-laced
+        values (ties, signed zeros, NaNs), NCHW or channels-last."""
+        k, stride = (int(v) for v in rng.integers(1, 5, size=2))
+        h, w = (int(v) for v in rng.integers(k, k + 3 * stride + 1, size=2))
+        x = rng.normal(-0.3, 1.0, size=(2, 3, h, w))
+        kind = rng.integers(3)
+        if kind == 0:
+            x = np.round(x)                   # ties; -0.0 from (-0.5, 0)
+        elif kind == 1:
+            x = Tensor(np.round(x, 1)).relu().data   # -0.0 per negative
+        else:
+            x[rng.random(x.shape) < 0.1] = np.nan
+        if rng.random() < 0.5:
+            x = _channels_last(x)
+        return x, k, stride
+
+    @pytest.mark.parametrize("kernels", ["production", "reference"])
+    def test_seeded_sweep(self, swap_kernels, kernels):
+        if kernels == "reference":
+            swap_kernels(ReferenceBackend())
+        rng = make_rng(19)
+        for _ in range(400):
+            x, k, stride = self._case(rng)
+            check_max_pool_against_oracle(x, k, stride, rng)
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (2, 1)])
+    def test_positive_zero_beats_later_negative_zeros(self, rng, k, stride):
+        """Window ``[+0.0, -0.0, -0.0, -0.0]``: the max is the first
+        tap's ``+0.0`` and it takes the gradient."""
+        x = np.full((1, 1, 2, 2), -0.0)
+        x[0, 0, 0, 0] = 0.0
+        out = F.max_pool2d(Tensor(x), k, stride).data
+        assert out.shape == (1, 1, 1, 1) and not np.signbit(out).any()
+        check_max_pool_against_oracle(x, k, stride, rng)
 
 
 class TestLinear:

@@ -51,17 +51,6 @@ class TestKey:
                               10, seed)
         assert len({a, b, c, d, e}) == 5
 
-    def test_key_tracks_backend(self, tiny_workload):
-        from repro.backend import use_backend
-
-        d = _deployer(tiny_workload)
-        seed = spawn_seeds(20, 1)[0]
-        with use_backend("vectorized"):
-            key_vec = serve_program_key(d, 10, seed)
-        with use_backend("reference"):
-            key_ref = serve_program_key(d, 10, seed)
-        assert key_ref != key_vec
-
 
 class TestRoundTrip:
     def test_store_then_load_bitwise(self, tiny_workload, tmp_path):

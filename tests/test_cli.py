@@ -22,46 +22,6 @@ class TestParsing:
         out = capsys.readouterr().out
         assert "area" in out
 
-    def test_backends_listing(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "compute backends" in out
-        for name in ("reference", "vectorized"):
-            assert name in out
-        from repro.backend import default_backend_name
-        assert f"* {default_backend_name()}\n" in out
-
-    def test_backend_flag_exports_choice(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        try:
-            with pytest.raises(SystemExit):  # bad name still dies at parse
-                main(["deploy", "--backend", "warp-drive"])
-            assert main(["experiment", "--name", "table2",
-                         "--backend", "reference"]) == 0
-            assert os.environ.get("REPRO_BACKEND") == "reference"
-        finally:
-            # main() exports --backend through the environment; undo it
-            # so later tests see the ambient default again.
-            os.environ.pop("REPRO_BACKEND", None)
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("stale", ["accel", "bogus"])
-    @pytest.mark.parametrize("env_var,kind", [("REPRO_BACKEND", "backend")])
-    def test_unknown_env_name_fails_fast(self, capsys, monkeypatch, stale,
-                                         env_var, kind):
-        """A stale or mistyped env selection is a usage error listing
-        the registered names, before any command runs."""
-        monkeypatch.setenv(env_var, stale)
-        for argv in (["backends"], ["deploy", "--workload", "lenet"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"unknown {kind} {stale!r}" in err
-            assert "registered: reference, vectorized" in err
-
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])

@@ -26,8 +26,8 @@ R6      No bare ``print()`` inside the ``repro`` library — output goes
         marks a deliberate exception).
 R7      No ``np.lib.stride_tricks`` (``as_strided`` /
         ``sliding_window_view``) outside ``repro/backend`` — window
-        kernels live behind the compute-backend dispatch whose
-        reference equivalence the test suite guarantees
+        kernels live behind ``repro.backend.get_backend()``, whose
+        equivalence to the reference oracle the test suite guarantees
         (``# stride-ok`` marks a vetted exception).
 R8      Cache-salt drift: the normalized AST hash of every memoized
         stage (``Deployer._stage`` / literal ``stage_key`` anchors plus

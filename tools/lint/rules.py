@@ -370,7 +370,7 @@ class NoPrintInLibraryRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R7: stride tricks belong to the compute-backend package
+# R7: stride tricks belong to the repro.backend kernel package
 # ----------------------------------------------------------------------
 _STRIDE_FUNCS = ("as_strided", "sliding_window_view")
 _STRIDE_MODULE = "numpy.lib.stride_tricks"
@@ -381,9 +381,9 @@ class StrideTricksOutsideBackendRule(Rule):
 
     ``as_strided`` views alias arbitrary memory: writing through one
     (or reading past a miscomputed stride) corrupts data silently, and
-    hand-rolled window extraction outside the backend bypasses the
-    dispatch layer whose reference/vectorized equivalence the test
-    suite guarantees. All window/im2col kernels live behind
+    hand-rolled window extraction outside the package bypasses the
+    kernels whose equivalence to the reference oracle the test suite
+    guarantees. All window/im2col kernels live behind
     :func:`repro.backend.get_backend`; everything else calls the
     dispatching wrappers in ``repro.nn.functional``. A deliberate
     exception carries ``# stride-ok``.
