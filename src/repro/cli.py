@@ -105,6 +105,21 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
                         "pipeline stage (same results, no reuse)")
 
 
+def _add_deployment_args(p: argparse.ArgumentParser) -> None:
+    """The workload/method/device arguments ``deploy`` and ``serve`` share."""
+    p.add_argument("--workload", default="lenet",
+                   choices=["lenet", "resnet18", "vgg16"])
+    p.add_argument("--preset", default="quick", choices=["quick", "full"])
+    p.add_argument("--method", default="vawo*+pwt",
+                   choices=["plain", "vawo", "vawo*", "pwt", "vawo*+pwt"])
+    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--granularity", "-m", type=int, default=16)
+    p.add_argument("--cell-bits", type=int, default=1, choices=[1, 2],
+                   help="1 = SLC, 2 = 2-bit MLC")
+    p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
+                   default=None, help="stuck-at fault rates")
+
+
 def _add_train(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("train", help="train (and cache) a workload")
     p.add_argument("--workload", default="lenet",
@@ -120,19 +135,9 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
 def _add_deploy(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("deploy",
                        help="deploy a workload onto the simulated crossbar")
-    p.add_argument("--workload", default="lenet",
-                   choices=["lenet", "resnet18", "vgg16"])
-    p.add_argument("--preset", default="quick", choices=["quick", "full"])
-    p.add_argument("--method", default="vawo*+pwt",
-                   choices=["plain", "vawo", "vawo*", "pwt", "vawo*+pwt"])
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--granularity", "-m", type=int, default=16)
-    p.add_argument("--cell-bits", type=int, default=1, choices=[1, 2],
-                   help="1 = SLC, 2 = 2-bit MLC")
+    _add_deployment_args(p)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
-                   default=None, help="stuck-at fault rates")
     _add_jobs_arg(p)
     _add_scenarios_arg(p)
     _add_cache_args(p)
@@ -143,20 +148,10 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "serve", help="serve inference requests over a programmed "
                       "crossbar deployment")
-    p.add_argument("--workload", default="lenet",
-                   choices=["lenet", "resnet18", "vgg16"])
-    p.add_argument("--preset", default="quick", choices=["quick", "full"])
-    p.add_argument("--method", default="vawo*+pwt",
-                   choices=["plain", "vawo", "vawo*", "pwt", "vawo*+pwt"])
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--granularity", "-m", type=int, default=16)
-    p.add_argument("--cell-bits", type=int, default=1, choices=[1, 2],
-                   help="1 = SLC, 2 = 2-bit MLC")
+    _add_deployment_args(p)
     p.add_argument("--seed", type=int, default=0,
                    help="responses bitwise-match trial 0 of `repro deploy "
                         "--seed N` (default: 0)")
-    p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
-                   default=None, help="stuck-at fault rates")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7453,
                    help="TCP port; 0 picks an ephemeral port "

@@ -565,8 +565,7 @@ class Deployer:
 
     def evaluate(self, test_data: Dataset, n_trials: int = 5,
                  rng: RngLike = None, batch_size: int = 256,
-                 jobs: Optional[int] = 1,
-                 trial_timeout: Optional[float] = None) -> "TrialResult":
+                 jobs: Optional[int] = 1) -> "TrialResult":
         """Run ``n_trials`` independent programming cycles and score each.
 
         The deployer's trial loop: every trial redraws the CCV noise
@@ -574,15 +573,13 @@ class Deployer:
         crossbars, reruns PWT if configured, and evaluates on
         ``test_data``. With ``jobs != 1`` the trials shard across
         worker processes (:mod:`repro.parallel`) with bit-identical
-        results; ``trial_timeout`` bounds one trial's wall-clock
-        seconds in process mode. Returns a
-        :class:`repro.eval.accuracy.TrialResult`.
+        results; if the pool cannot run, the whole grid reruns
+        serially. Returns a :class:`repro.eval.accuracy.TrialResult`.
         """
         from repro.eval.accuracy import evaluate_deployment
 
         return evaluate_deployment(self, test_data, n_trials=n_trials,
-                                   rng=rng, batch_size=batch_size, jobs=jobs,
-                                   trial_timeout=trial_timeout)
+                                   rng=rng, batch_size=batch_size, jobs=jobs)
 
     def ideal_model(self) -> Module:
         """The noise-free quantized reference (the paper's "ideal" line).

@@ -62,8 +62,8 @@ def _deploy_and_score(deployer: Deployer, test_data: Dataset,
 
 def evaluate_deployment(deployer: Deployer, test_data: Dataset,
                         n_trials: int = 5, rng: RngLike = None,
-                        batch_size: int = 256, jobs: Optional[int] = 1,
-                        trial_timeout: Optional[float] = None) -> TrialResult:
+                        batch_size: int = 256,
+                        jobs: Optional[int] = 1) -> TrialResult:
     """Program the crossbars ``n_trials`` times and score each deployment.
 
     Each trial redraws all programming noise (the paper's cycle-to-cycle
@@ -72,15 +72,14 @@ def evaluate_deployment(deployer: Deployer, test_data: Dataset,
 
     ``jobs`` shards the trials across worker processes (``0``/``None``
     = one per core, ``1`` = serial); accuracies are identical either
-    way. ``trial_timeout`` bounds one trial's wall-clock seconds in
-    process mode (timed-out trials are retried once, then recorded as
-    faults, which raise here).
+    way. A raising trial is retried once, then recorded as a fault,
+    which raises here.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     run = run_trials(partial(_deploy_and_score, deployer, test_data,
                              batch_size),
-                     n_trials, seed=rng, jobs=jobs, timeout_s=trial_timeout)
+                     n_trials, seed=rng, jobs=jobs)
     return TrialResult(accuracies=run.results())
 
 

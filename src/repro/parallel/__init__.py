@@ -1,9 +1,10 @@
 """Parallel Monte-Carlo trial execution (``repro.parallel``).
 
-Shards independent programming-cycle trials across a process pool with
-bit-identical-to-serial determinism (``SeedSequence``-spawned per-trial
-streams), retry-once-then-record-fault robustness, per-trial timeouts,
-and worker→parent observability merging. See
+Runs independent programming-cycle trials serially or across one
+process pool, chosen by ``jobs``, with bit-identical-to-serial
+determinism (``SeedSequence``-spawned per-trial streams),
+retry-once-then-record-fault robustness, a whole-grid serial fallback
+when the pool cannot run, and worker→parent observability merging. See
 :mod:`repro.parallel.executor` for the full contract.
 
 Quick use::
@@ -17,25 +18,24 @@ The deployment pipeline exposes this via ``Deployer.evaluate(...)``,
 ``repro.eval.accuracy.evaluate_deployment(..., jobs=...)``, the
 experiment runners' ``jobs=`` parameters, and the CLI's ``--jobs/-j``.
 
-On the process backend the grid callable is pickled once per grid and
+On the process path the grid callable is pickled once per grid and
 broadcast to each worker through the pool initializer — with large
 read-only arrays riding ``multiprocessing.shared_memory`` where
-available (:mod:`repro.parallel.broadcast`, ``REPRO_SHM=0`` to
-disable) — instead of being re-pickled into every trial task.
+available (:mod:`repro.parallel.broadcast`) — instead of being
+re-pickled into every trial task.
 """
 
 from repro.parallel.broadcast import (broadcast_fn, encode_broadcast,
                                       install_broadcast, release_segments,
                                       shm_enabled)
-from repro.parallel.executor import (BACKENDS, TrialExecutor,
-                                     TrialFaultError, TrialOutcome, TrialRun,
-                                     resolve_jobs, run_trials)
+from repro.parallel.executor import (RETRIES, TrialFaultError, TrialOutcome,
+                                     TrialRun, resolve_jobs, run_trials)
 from repro.parallel.merge import merge_trial_payload
 from repro.parallel.rngshard import rng_for_trial, trial_seeds
 from repro.parallel.worker import TrialPayload, TrialTask, run_trial_task
 
 __all__ = [
-    "BACKENDS", "TrialExecutor", "TrialFaultError", "TrialOutcome",
+    "RETRIES", "TrialFaultError", "TrialOutcome",
     "TrialRun", "resolve_jobs", "run_trials", "merge_trial_payload",
     "trial_seeds", "rng_for_trial", "TrialTask", "TrialPayload",
     "run_trial_task", "broadcast_fn", "encode_broadcast",

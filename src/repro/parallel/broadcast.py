@@ -3,8 +3,8 @@
 Every trial of a Monte-Carlo grid runs the *same* callable — typically
 a ``partial`` closing over a fully-prepared ``Deployer`` and the test
 set, hundreds of kilobytes to megabytes of read-only arrays. Shipping
-that with every :class:`~repro.parallel.worker.TrialTask` made a
-``--jobs N`` grid pay N×trials pickling costs for identical state.
+that with every trial task would make a ``--jobs N`` grid pay one
+pickle per trial for identical state.
 
 This module ships it **once per worker** instead:
 
@@ -15,22 +15,23 @@ This module ships it **once per worker** instead:
    copy per worker becomes a zero-copy attach;
 2. ``ProcessPoolExecutor(initializer=...)`` hands the blob to
    :func:`install_broadcast` exactly once per worker process;
-3. tasks travel with ``fn=None`` and
-   :func:`~repro.parallel.worker.run_trial_task` falls back to the
-   installed :func:`broadcast_fn`.
+3. tasks carry only an index and a seed, and
+   :func:`~repro.parallel.worker.run_trial_task` runs the installed
+   :func:`broadcast_fn`.
 
 Workers deliberately *unregister* attached segments from their
 ``resource_tracker`` (or attach with ``track=False`` on Pythons that
 support it): the parent owns the segment lifetime and unlinks after
 the grid, so a tracked worker copy would double-unlink at exit.
-Set ``REPRO_SHM=0`` to disable the shared-memory diversion; any
-failure to create/attach segments falls back to plain pickling.
+Any failure to create segments falls back to plain pickling; a
+callable that does not pickle at all raises from
+:func:`encode_broadcast`, which the executor treats as its cue to run
+the grid serially.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import pickle
 from typing import Any, List, Optional, Tuple
 
@@ -55,9 +56,7 @@ _WORKER_SEGMENTS: List[Any] = []
 
 
 def shm_enabled() -> bool:
-    """Whether large-array shared-memory diversion is enabled."""
-    if os.environ.get("REPRO_SHM", "").strip().lower() in ("0", "off"):
-        return False
+    """Whether this platform offers ``multiprocessing.shared_memory``."""
     try:
         from multiprocessing import shared_memory  # noqa: F401
     except ImportError:
@@ -96,6 +95,10 @@ def _attach_shm_array(name: str, shape: Tuple[int, ...],
     return array
 
 
+class _ShmUnavailable(Exception):
+    """A shared-memory segment could not be created or filled."""
+
+
 class _ShmPickler(pickle.Pickler):
     """Protocol-5 pickler that diverts big arrays into shared memory."""
 
@@ -105,12 +108,17 @@ class _ShmPickler(pickle.Pickler):
 
     def reducer_override(self, obj: Any) -> Any:
         if type(obj) is np.ndarray and obj.nbytes >= MIN_SHM_BYTES:
-            from multiprocessing import shared_memory
             source = np.ascontiguousarray(obj)
-            shm = shared_memory.SharedMemory(create=True, size=source.nbytes)
-            self.segments.append(shm)
-            np.ndarray(source.shape, dtype=source.dtype,
-                       buffer=shm.buf)[...] = source
+            try:
+                from multiprocessing import shared_memory
+                shm = shared_memory.SharedMemory(create=True,
+                                                 size=source.nbytes)
+                self.segments.append(shm)
+                np.ndarray(source.shape, dtype=source.dtype,
+                           buffer=shm.buf)[...] = source
+            except Exception as exc:       # noqa: BLE001 — any shm failure
+                raise _ShmUnavailable(f"{type(exc).__name__}: {exc}") \
+                    from exc
             return (_attach_shm_array,
                     (shm.name, source.shape, source.dtype.str))
         return NotImplemented
@@ -122,8 +130,9 @@ def encode_broadcast(fn: Any) -> Tuple[bytes, List[Any]]:
     Returns ``(blob, segments)``: the bytes every worker's initializer
     receives and the shared-memory segments the blob references. The
     caller owns the segments and must :func:`release_segments` them
-    after the grid (workers only attach). Any shared-memory failure
-    falls back to a plain pickle with no segments.
+    after the grid (workers only attach). A shared-memory failure falls
+    back to a plain pickle with no segments; a callable that does not
+    pickle raises (after releasing any segments already created).
     """
     if shm_enabled():
         buffer = io.BytesIO()
@@ -131,20 +140,20 @@ def encode_broadcast(fn: Any) -> Tuple[bytes, List[Any]]:
         try:
             _ShmPickler(buffer, segments).dump(fn)
             return buffer.getvalue(), segments
-        except Exception as exc:           # noqa: BLE001 — fall back whole
+        except _ShmUnavailable as exc:
             release_segments(segments)
-            logger.warning("shared-memory broadcast failed (%s: %s); "
-                           "falling back to plain pickling",
-                           type(exc).__name__, exc)
+            logger.warning("shared-memory broadcast failed (%s); "
+                           "falling back to plain pickling", exc)
+        except BaseException:              # noqa: BLE001 — cleanup, re-raised
+            release_segments(segments)
+            raise
     return pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL), []
 
 
 def release_segments(segments: List[Any]) -> None:
     """Close and unlink parent-owned segments (idempotent, best-effort).
 
-    Linux keeps the backing memory alive until every worker's mapping
-    closes, so unlinking immediately after the grid is safe even with
-    abandoned (timed-out) workers still holding attachments.
+    The executor calls this only after the pool's workers have exited.
     """
     for shm in segments:
         for op in (shm.close, shm.unlink):

@@ -2,21 +2,28 @@
 
 The paper's headline numbers average accuracy over independent
 programming cycles: every trial re-samples the CCV noise, re-runs the
-deployment pipeline and re-evaluates — embarrassingly parallel work
-that the serial loops in :mod:`repro.eval.accuracy` and the experiment
-runners used to burn one core on. :class:`TrialExecutor` shards such a
-trial grid across a ``ProcessPoolExecutor`` while keeping three
-guarantees:
+deployment pipeline and re-evaluates — embarrassingly parallel work.
+:func:`run_trials` runs such a trial grid on one of two paths, chosen
+by the resolved ``jobs``:
+
+* **serial** (``jobs == 1``) — trials run in the caller's thread;
+* **process** (``jobs > 1``) — trials run in one
+  ``ProcessPoolExecutor``. The grid callable is pickled once and
+  broadcast to every worker through the pool initializer, with large
+  arrays riding shared memory (:mod:`repro.parallel.broadcast`).
+
+If the callable does not pickle, the pool cannot start, or the pool
+breaks mid-grid, the whole grid reruns serially: one warning, one
+``parallel.serial_fallbacks`` count, and ``TrialRun.backend ==
+"serial"``. Either way three guarantees hold:
 
 **Determinism.** Per-trial generators come from ``SeedSequence.spawn``
-children (:mod:`repro.parallel.rngshard`), the same streams the serial
-loop uses, and results are collected by trial index — so ``jobs=N`` is
-bit-identical to ``jobs=1`` at the same seed, on every backend.
+children (:mod:`repro.parallel.rngshard`), the same streams on both
+paths, and results are collected by trial index — so ``jobs=N`` is
+bit-identical to ``jobs=1`` at the same seed.
 
-**Robustness.** A trial that raises is retried once (configurable) and
-then recorded as a fault instead of aborting the grid; with a per-trial
-``timeout_s`` the process backend also times out hung trials
-(retry-once-then-fault, the overdue worker is abandoned). Faulted
+**Robustness.** A trial that raises is retried :data:`RETRIES` time(s)
+and then recorded as a fault instead of aborting the grid. Faulted
 grids surface as :class:`TrialFaultError` when results are collected.
 
 **Observability.** Worker processes snapshot their span/metric state
@@ -24,25 +31,18 @@ into the returned payloads and the executor merges them back into the
 parent registries (:mod:`repro.parallel.merge`), so a ``--profile``
 manifest of a ``--jobs 4`` run reports the same trial counters a
 serial run would.
-
-Backends: ``process`` (the default for ``jobs > 1``), ``thread`` (the
-automatic fallback for pickling-hostile callables and platforms whose
-process pools cannot start), and ``serial`` (``jobs=1``; runs in the
-caller's thread exactly like the old loops). Timeouts are enforced on
-the process backend only — a thread cannot be killed.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from traceback import format_exc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -58,10 +58,12 @@ from repro.utils.rng import RngLike, SeedLike
 
 logger = get_logger(__name__)
 
-__all__ = ["BACKENDS", "TrialExecutor", "TrialFaultError", "TrialOutcome",
-           "TrialRun", "resolve_jobs", "run_trials"]
+__all__ = ["RETRIES", "TrialFaultError", "TrialOutcome", "TrialRun",
+           "resolve_jobs", "run_trials"]
 
-BACKENDS = ("process", "thread", "serial")
+#: Extra attempts granted to a failing trial before it is recorded as
+#: a fault (the retry-once-then-fault contract).
+RETRIES = 1
 
 
 def resolve_jobs(jobs: Optional[int], n_trials: int) -> int:
@@ -88,7 +90,6 @@ class TrialOutcome:
     traceback: Optional[str] = None
     attempts: int = 0
     duration_s: float = 0.0
-    timed_out: bool = False
 
     @property
     def ok(self) -> bool:
@@ -101,10 +102,8 @@ class TrialFaultError(RuntimeError):
 
     def __init__(self, faults: Sequence[TrialOutcome]) -> None:
         self.faults = list(faults)
-        detail = "; ".join(
-            f"trial {f.index}: "
-            f"{'timeout' if f.timed_out else f.error} "
-            f"({f.attempts} attempts)" for f in self.faults)
+        detail = "; ".join(f"trial {f.index}: {f.error} ({f.attempts} attempts)"
+                           for f in self.faults)
         super().__init__(
             f"{len(self.faults)} trial(s) faulted after retry: {detail}")
 
@@ -136,27 +135,74 @@ class TrialRun:
         return [o.result for o in self.outcomes if o.ok]
 
 
-@dataclass
-class _Pending:
-    """Parent-side bookkeeping for one in-flight trial attempt."""
+def run_trials(fn: TrialFn, n_trials: int, seed: RngLike = None,
+               seeds: Optional[Sequence[SeedLike]] = None,
+               jobs: Optional[int] = 1) -> TrialRun:
+    """Execute ``fn(trial, rng)`` for every trial of the grid.
 
-    task: TrialTask
-    attempts: int = 1
-    deadline: Optional[float] = None
-    submitted_rel_s: float = 0.0
-    timed_out_once: bool = False
+    ``seed`` spawns the per-trial streams; ``seeds`` instead supplies
+    pre-spawned ones (e.g. a slice of a larger experiment's grid).
+    ``jobs`` defaults to 1 (serial) so library call sites opt into
+    parallelism explicitly; ``None``/``0`` means one worker per core
+    (the CLI's ``--jobs`` default). Returns a :class:`TrialRun` whose
+    outcomes are in trial order.
+    """
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    grid_seeds = trial_seeds(seed, n_trials, seeds)
+    jobs = resolve_jobs(jobs, n_trials)
+    obs_active = obs_runtime.enabled()
+
+    with span("parallel.trials", jobs=jobs, trials=n_trials):
+        obs_metrics.inc("parallel.trials_launched", n_trials)
+        # Captured *inside* the grid span: workers bind it so every
+        # per-trial span tree re-roots under this parallel.trials span
+        # on merge.
+        context = obs_trace.current_trace_context() if obs_active else None
+        tasks = [TrialTask(index=i, seed=s, obs_active=obs_active,
+                           trace=context)
+                 for i, s in enumerate(grid_seeds)]
+        outcomes = _run_process(fn, tasks, jobs) if jobs > 1 else None
+        backend = "process"
+        if outcomes is None:
+            backend = "serial"
+            outcomes = _run_serial(fn, tasks)
+        for outcome in outcomes:
+            # Per-trial wall time feeds the percentile reservoir:
+            # --profile manifests report trial.wall_s p50/p95/p99.
+            obs_metrics.observe("trial.wall_s", outcome.duration_s)
+    faults = [o for o in outcomes if not o.ok]
+    if faults:
+        obs_metrics.inc("parallel.trial_faults", len(faults))
+        for fault in faults:
+            # Keyed by trial index so `repro obs diff` can localize
+            # which trials degrade, not just how many.
+            obs_metrics.observe("parallel.fault", fault.index)
+        logger.warning("%d/%d trial(s) faulted (backend=%s)",
+                       len(faults), n_trials, backend)
+    return TrialRun(outcomes=outcomes, backend=backend, jobs=jobs)
 
 
-def _inline_payload(task: TrialTask) -> TrialPayload:
-    """Run a task in the current process (serial/thread backends).
+def _outcome(payload: TrialPayload, attempts: int) -> TrialOutcome:
+    return TrialOutcome(index=payload.index, result=payload.result,
+                        error=payload.error, traceback=payload.traceback,
+                        attempts=attempts, duration_s=payload.duration_s)
+
+
+def _count_retry(index: int) -> None:
+    obs_metrics.inc("parallel.trial_retries")
+    obs_metrics.observe("parallel.retry", index)
+
+
+def _run_inline(fn: TrialFn, task: TrialTask) -> TrialPayload:
+    """Run one trial in the caller's thread.
 
     Shares the parent's obs registries directly, so no snapshot is
     taken — only the error capture matches :func:`run_trial_task`.
     """
     t0 = perf_counter()
     try:
-        assert task.fn is not None      # inline tasks keep their callable
-        result = task.fn(task.index, rng_for_trial(task.seed))
+        result = fn(task.index, rng_for_trial(task.seed))
     except Exception as exc:            # noqa: BLE001 — recorded as fault
         return TrialPayload(index=task.index, ok=False, error=repr(exc),
                             traceback=format_exc(),
@@ -165,289 +211,105 @@ def _inline_payload(task: TrialTask) -> TrialPayload:
                         duration_s=perf_counter() - t0)
 
 
-def _picklable(task: TrialTask) -> bool:
-    """Whether the task survives the trip to a worker process."""
+def _run_serial(fn: TrialFn, tasks: List[TrialTask]) -> List[TrialOutcome]:
+    """In-caller-thread execution with retry-then-fault."""
+    outcomes = []
+    for task in tasks:
+        attempts = 1
+        payload = _run_inline(fn, task)
+        while not payload.ok and attempts <= RETRIES:
+            _count_retry(task.index)
+            attempts += 1
+            payload = _run_inline(fn, task)
+        outcomes.append(_outcome(payload, attempts))
+    return outcomes
+
+
+def _run_process(fn: TrialFn, tasks: List[TrialTask],
+                 jobs: int) -> Optional[List[TrialOutcome]]:
+    """Process-pool execution; ``None`` asks the caller to run serially.
+
+    ``fn`` is pickled ONCE here and broadcast to each worker via the
+    pool initializer — per-trial submissions ship only an index and a
+    seed. The ``with`` block waits for the workers to exit before the
+    shared-memory segments are released.
+    """
     try:
-        pickle.dumps(task)
-        return True
-    except Exception:                   # noqa: BLE001 — any failure = no
-        return False
+        blob, segments = encode_broadcast(fn)
+    except Exception as exc:            # noqa: BLE001 — any pickling failure
+        _warn_serial_fallback("trial callable does not pickle", exc)
+        return None
+    obs_metrics.inc("parallel.broadcasts")
+    obs_metrics.inc("parallel.broadcast_payload_bytes", len(blob))
+    if segments:
+        obs_metrics.inc("parallel.broadcast_shm_bytes",
+                        sum(seg.size for seg in segments))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=install_broadcast,
+                                 initargs=(blob,)) as pool:
+            settled = _drive_pool(pool, tasks)
+    except (OSError, NotImplementedError, ImportError) as exc:
+        _warn_serial_fallback("cannot start a process pool", exc)
+        return None
+    except BrokenProcessPool as exc:
+        _warn_serial_fallback("process pool broke mid-grid", exc)
+        return None
+    finally:
+        release_segments(segments)
+
+    if obs_runtime.enabled():
+        parent_span = obs_trace.TRACER.current_span_id()
+        for payload, _, offset in settled:
+            merge_trial_payload(payload, parent_span_id=parent_span,
+                                start_offset_s=offset)
+    return [_outcome(payload, attempts) for payload, attempts, _ in settled]
 
 
-class TrialExecutor:
-    """Runs independent Monte-Carlo trials, in parallel where possible.
+def _warn_serial_fallback(reason: str, exc: BaseException) -> None:
+    logger.warning("%s (%s: %s); rerunning the whole grid serially",
+                   reason, type(exc).__name__, exc)
+    obs_metrics.inc("parallel.serial_fallbacks")
 
-    Parameters
-    ----------
-    jobs:
-        Worker count; ``None``/``0`` means one per core (capped by the
-        trial count), ``1`` forces serial execution.
-    timeout_s:
-        Optional per-trial wall-clock budget, enforced on the process
-        backend (an overdue trial is retried once, then recorded as a
-        timed-out fault; the stuck worker is abandoned).
-    retries:
-        Extra attempts granted to a failing/timed-out trial (default 1:
-        the retry-once-then-record-fault contract).
-    backend:
-        Force ``"process"``, ``"thread"`` or ``"serial"`` instead of
-        auto-selection. Pickling-hostile work demoted from process to
-        thread is logged and counted (``parallel.thread_fallbacks``).
+
+def _drive_pool(pool: ProcessPoolExecutor,
+                tasks: List[TrialTask]) -> List[Tuple[TrialPayload, int, float]]:
+    """Submit every task, resubmitting a failed one up to RETRIES times.
+
+    Returns each trial's final payload, attempt count and last
+    submission time on the parent trace clock, in trial order. A broken
+    pool propagates as :class:`BrokenProcessPool`.
     """
+    attempts = [0] * len(tasks)
+    offsets = [0.0] * len(tasks)
+    final: Dict[int, TrialPayload] = {}
+    pending: Dict[Future, TrialTask] = {}
 
-    def __init__(self, jobs: Optional[int] = None,
-                 timeout_s: Optional[float] = None, retries: int = 1,
-                 backend: Optional[str] = None) -> None:
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        self.jobs = jobs
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backend = backend
+    def submit(task: TrialTask) -> None:
+        attempts[task.index] += 1
+        offsets[task.index] = obs_trace.TRACER.now_s()
+        pending[pool.submit(run_trial_task, task)] = task
 
-    # ------------------------------------------------------------------
-    def run(self, fn: TrialFn, n_trials: int, seed: RngLike = None,
-            seeds: Optional[Sequence[SeedLike]] = None) -> TrialRun:
-        """Execute ``fn(trial, rng)`` for every trial of the grid.
-
-        ``seed`` spawns the per-trial streams; ``seeds`` instead supplies
-        pre-spawned ones (e.g. a slice of a larger experiment's grid).
-        Returns a :class:`TrialRun` whose outcomes are in trial order.
-        """
-        if n_trials < 0:
-            raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-        grid_seeds = trial_seeds(seed, n_trials, seeds)
-        jobs = resolve_jobs(self.jobs, n_trials)
-        obs_active = obs_runtime.enabled()
-        tasks = [TrialTask(index=i, seed=s, fn=fn, obs_active=obs_active)
-                 for i, s in enumerate(grid_seeds)]
-        backend = self._choose_backend(jobs, tasks)
-
-        with span("parallel.trials", backend=backend, jobs=jobs,
-                  trials=n_trials):
-            obs_metrics.inc("parallel.trials_launched", n_trials)
-            if obs_active:
-                # Capture the trace coordinates *inside* the grid span:
-                # workers bind them so every per-trial span tree
-                # re-roots under this parallel.trials span on merge.
-                context = obs_trace.current_trace_context()
-                for task in tasks:
-                    task.trace = context
-            if backend == "serial" or not tasks:
-                outcomes = self._run_serial(tasks)
-            elif backend == "thread":
-                outcomes = self._run_pool(
-                    tasks, ThreadPoolExecutor(max_workers=jobs),
-                    process_mode=False)
+    for task in tasks:
+        submit(task)
+    while pending:
+        done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+        for future in done:
+            task = pending.pop(future)
+            i = task.index
+            exc = future.exception()
+            if isinstance(exc, BrokenProcessPool):
+                raise exc
+            if exc is not None:
+                # Infrastructure failure (e.g. the result did not
+                # pickle) — same retry-then-fault path as a trial
+                # exception.
+                payload = TrialPayload(index=i, ok=False, error=repr(exc))
             else:
-                outcomes = self._run_process(tasks, jobs)
-            for outcome in outcomes:
-                # Per-trial wall time feeds the percentile reservoir:
-                # --profile manifests report trial.wall_s p50/p95/p99.
-                obs_metrics.observe("trial.wall_s", outcome.duration_s)
-        faults = [o for o in outcomes if not o.ok]
-        if faults:
-            obs_metrics.inc("parallel.trial_faults", len(faults))
-            for fault in faults:
-                # Keyed by trial index so `repro obs diff` can localize
-                # which trials degrade, not just how many.
-                obs_metrics.observe("parallel.fault", fault.index)
-            logger.warning("%d/%d trial(s) faulted (backend=%s)",
-                           len(faults), n_trials, backend)
-        return TrialRun(outcomes=outcomes, backend=backend, jobs=jobs)
-
-    # ------------------------------------------------------------------
-    def _choose_backend(self, jobs: int, tasks: List[TrialTask]) -> str:
-        """Pick (or validate) the execution backend for this grid."""
-        backend = self.backend
-        if backend is None:
-            backend = "serial" if jobs == 1 else "process"
-        if backend == "process" and tasks and not _picklable(tasks[0]):
-            logger.warning(
-                "trial callable does not pickle; falling back to the "
-                "thread backend (no multi-core speedup)")
-            obs_metrics.inc("parallel.thread_fallbacks")
-            backend = "thread"
-        return backend
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, tasks: List[TrialTask]) -> List[TrialOutcome]:
-        """In-caller-thread execution: the old loops, plus retry/fault."""
-        outcomes = []
-        for task in tasks:
-            attempts = 0
-            while True:
-                attempts += 1
-                payload = _inline_payload(task)
-                if payload.ok or attempts > self.retries:
-                    break
-                obs_metrics.inc("parallel.trial_retries")
-                obs_metrics.observe("parallel.retry", task.index)
-            outcomes.append(TrialOutcome(
-                index=task.index, result=payload.result, error=payload.error,
-                traceback=payload.traceback, attempts=attempts,
-                duration_s=payload.duration_s))
-        return outcomes
-
-    def _run_process(self, tasks: List[TrialTask],
-                     jobs: int) -> List[TrialOutcome]:
-        """Process-pool execution with a thread/serial safety net.
-
-        The grid callable is identical across tasks (``run`` builds
-        every task from one ``fn``), so it is pickled ONCE here and
-        broadcast to each worker via the pool initializer; the tasks
-        themselves travel with ``fn=None`` — per-trial submissions ship
-        only an index and a seed. Large read-only arrays inside the
-        callable ride shared memory where available
-        (:mod:`repro.parallel.broadcast`).
-        """
-        blob, segments = encode_broadcast(tasks[0].fn)
-        obs_metrics.inc("parallel.broadcasts")
-        obs_metrics.inc("parallel.broadcast_payload_bytes", len(blob))
-        if segments:
-            obs_metrics.inc("parallel.broadcast_shm_bytes",
-                            sum(seg.size for seg in segments))
-        try:
-            try:
-                pool = ProcessPoolExecutor(max_workers=jobs,
-                                           initializer=install_broadcast,
-                                           initargs=(blob,))
-            except (OSError, NotImplementedError, ImportError) as exc:
-                logger.warning("cannot start a process pool (%s); falling "
-                               "back to the thread backend", exc)
-                obs_metrics.inc("parallel.thread_fallbacks")
-                return self._run_pool(
-                    tasks, ThreadPoolExecutor(max_workers=jobs),
-                    process_mode=False)
-            stripped = [replace(task, fn=None) for task in tasks]
-            try:
-                return self._run_pool(stripped, pool, process_mode=True)
-            except BrokenProcessPool:
-                logger.warning("process pool broke mid-grid; rerunning the "
-                               "unfinished trials serially")
-                obs_metrics.inc("parallel.serial_fallbacks")
-                return self._run_serial(tasks)
-        finally:
-            release_segments(segments)
-
-    def _run_pool(self, tasks: List[TrialTask], pool: Any,
-                  process_mode: bool) -> List[TrialOutcome]:
-        """Drive a futures pool with per-trial deadline/retry handling."""
-        outcomes: List[Optional[TrialOutcome]] = [None] * len(tasks)
-        payloads: List[Optional[TrialPayload]] = [None] * len(tasks)
-        offsets: List[float] = [0.0] * len(tasks)
-        runner = run_trial_task if process_mode else _inline_payload
-        enforce_timeout = process_mode and self.timeout_s is not None
-        pending: Dict[Future, _Pending] = {}
-
-        def submit(state: _Pending) -> None:
-            if enforce_timeout:
-                state.deadline = perf_counter() + float(self.timeout_s or 0.0)
-            state.submitted_rel_s = obs_trace.TRACER.now_s()
-            pending[pool.submit(runner, state.task)] = state
-
-        def settle(state: _Pending, payload: TrialPayload,
-                   timed_out: bool = False) -> None:
-            """Record the final attempt of a trial (success or fault)."""
-            i = state.task.index
-            outcomes[i] = TrialOutcome(
-                index=i, result=payload.result, error=payload.error,
-                traceback=payload.traceback, attempts=state.attempts,
-                duration_s=payload.duration_s, timed_out=timed_out)
-            payloads[i] = payload
-            offsets[i] = state.submitted_rel_s
-
-        def retry_or_settle(state: _Pending, payload: TrialPayload,
-                            timed_out: bool = False) -> None:
-            if state.attempts <= self.retries:
-                state.attempts += 1
-                state.timed_out_once = state.timed_out_once or timed_out
-                obs_metrics.inc("parallel.trial_retries")
-                obs_metrics.observe("parallel.retry", state.task.index)
-                submit(state)
+                payload = future.result()
+            if not payload.ok and attempts[i] <= RETRIES:
+                _count_retry(i)
+                submit(task)
             else:
-                settle(state, payload, timed_out=timed_out)
-
-        try:
-            for task in tasks:
-                submit(_Pending(task=task))
-            while pending:
-                wait_s = None
-                if enforce_timeout:
-                    now = perf_counter()
-                    wait_s = max(0.0, min(
-                        s.deadline - now for s in pending.values()
-                        if s.deadline is not None))
-                done, _ = wait(set(pending), timeout=wait_s,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    state = pending.pop(future)
-                    exc = future.exception()
-                    if isinstance(exc, BrokenProcessPool):
-                        raise exc
-                    if exc is not None:
-                        # Infrastructure failure (e.g. the result did not
-                        # pickle) — same retry-then-fault path as a trial
-                        # exception.
-                        payload = TrialPayload(
-                            index=state.task.index, ok=False,
-                            error=repr(exc), traceback=None)
-                    else:
-                        payload = future.result()
-                    if payload.ok:
-                        settle(state, payload)
-                    else:
-                        retry_or_settle(state, payload)
-                if enforce_timeout:
-                    now = perf_counter()
-                    overdue = [f for f, s in pending.items()
-                               if s.deadline is not None and now >= s.deadline]
-                    for future in overdue:
-                        state = pending.pop(future)
-                        future.cancel()     # abandon the worker if running
-                        obs_metrics.inc("parallel.trial_timeouts")
-                        obs_metrics.observe("parallel.timeout",
-                                            state.task.index)
-                        payload = TrialPayload(
-                            index=state.task.index, ok=False,
-                            error=f"TimeoutError: trial exceeded "
-                                  f"{self.timeout_s}s")
-                        retry_or_settle(state, payload, timed_out=True)
-        finally:
-            # wait=False: a hung (timed-out) worker must not block the
-            # grid; abandoned processes finish their task and exit.
-            pool.shutdown(wait=False)
-
-        if process_mode and obs_runtime.enabled():
-            parent_span = obs_trace.TRACER.current_span_id()
-            for i, payload in enumerate(payloads):
-                if payload is not None:
-                    merge_trial_payload(payload, parent_span_id=parent_span,
-                                        start_offset_s=offsets[i])
-        return [o for o in outcomes if o is not None]
-
-    # ------------------------------------------------------------------
-    def map(self, fn: TrialFn, n_trials: int, seed: RngLike = None,
-            seeds: Optional[Sequence[SeedLike]] = None) -> List[Any]:
-        """:meth:`run` + strict result collection, in trial order."""
-        return self.run(fn, n_trials, seed=seed, seeds=seeds).results()
-
-
-def run_trials(fn: TrialFn, n_trials: int, seed: RngLike = None,
-               seeds: Optional[Sequence[SeedLike]] = None,
-               jobs: Optional[int] = 1, timeout_s: Optional[float] = None,
-               retries: int = 1, backend: Optional[str] = None) -> TrialRun:
-    """One-shot convenience around :class:`TrialExecutor`.
-
-    ``jobs`` defaults to 1 (serial) so library call sites opt into
-    parallelism explicitly; the CLI's ``--jobs`` default is the
-    cpu-count-aware ``0``.
-    """
-    executor = TrialExecutor(jobs=jobs, timeout_s=timeout_s, retries=retries,
-                             backend=backend)
-    return executor.run(fn, n_trials, seed=seed, seeds=seeds)
+                final[i] = payload
+    return [(final[i], attempts[i], offsets[i]) for i in range(len(tasks))]

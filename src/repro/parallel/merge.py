@@ -1,6 +1,6 @@
 """Merge worker-process observability payloads into the parent registry.
 
-Process-backend trials record their spans and metrics into the *child*
+Process-pool trials record their spans and metrics into the *child*
 process's globals; without a merge step a ``--profile`` run with
 ``--jobs 4`` would report a quarter of the work. After every trial grid
 the executor hands each :class:`~repro.parallel.worker.TrialPayload`
@@ -15,8 +15,8 @@ the executor hands each :class:`~repro.parallel.worker.TrialPayload`
   (:meth:`repro.obs.trace.Tracer.adopt`), tagging each with the trial
   index and ``subprocess: True`` so per-trial breakdowns survive.
 
-Serial and thread backends write straight into the parent registries
-(they share the process) and never reach this module.
+Serial grids write straight into the parent registries (they share the
+process) and never reach this module.
 """
 
 from __future__ import annotations

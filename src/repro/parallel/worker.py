@@ -1,26 +1,28 @@
 """Worker-process bootstrap for the parallel trial executor.
 
-A :class:`TrialTask` is the complete, picklable description of one
-Monte-Carlo trial: the trial index, its seed material (a
-``SeedSequence`` child — see :mod:`repro.parallel.rngshard`) and the
-trial callable. :func:`run_trial_task` is the module-level entry point
-``ProcessPoolExecutor`` invokes in the child; it
+A :class:`TrialTask` is the picklable work order of one Monte-Carlo
+trial: the trial index and its seed material (a ``SeedSequence`` child
+— see :mod:`repro.parallel.rngshard`). The trial callable itself is
+not in the task: the pool initializer installs it once per worker
+(:mod:`repro.parallel.broadcast`). :func:`run_trial_task` is the
+module-level entry point ``ProcessPoolExecutor`` invokes in the child;
+it
 
 1. synchronises the child's observability switch with the parent's
    (``obs_active``) and **resets** the child-global tracer/metrics —
    pool workers are reused across trials, and fork-started children
    inherit the parent's recorded state, so without the reset a trial's
    payload would smuggle foreign spans back;
-2. rebuilds the trial generator and runs the callable, converting any
-   exception into an error payload (a raising trial must not poison the
-   pool);
+2. rebuilds the trial generator and runs the broadcast callable,
+   converting any exception into an error payload (a raising trial must
+   not poison the pool);
 3. snapshots the child's metrics registry and span records into the
    returned :class:`TrialPayload` so the parent can merge them
    (:mod:`repro.parallel.merge`) and ``--profile`` manifests stay
    complete.
 
-Only the process backend routes through this module — serial and thread
-execution share the parent's registries directly and need no snapshot
+Only the process path routes through this module — serial execution
+shares the parent's registries directly and needs no snapshot
 round-trip.
 """
 
@@ -34,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.obs.trace import TraceContext
+from repro.parallel.broadcast import broadcast_fn
 from repro.parallel.rngshard import rng_for_trial
 from repro.utils.rng import SeedLike
 
@@ -45,17 +48,14 @@ TrialFn = Callable[[int, np.random.Generator], Any]
 
 @dataclass
 class TrialTask:
-    """One trial's shippable work order.
+    """One trial's shippable work order: an index and a seed.
 
-    ``fn=None`` means "use the grid callable the pool initializer
-    broadcast to this worker" (:mod:`repro.parallel.broadcast`) — the
-    process backend strips the shared callable from every task so each
-    trial ships only its index and seed.
+    Workers run it with the grid callable the pool initializer
+    broadcast to them (:mod:`repro.parallel.broadcast`).
     """
 
     index: int
     seed: SeedLike
-    fn: Optional[TrialFn]
     obs_active: bool = False
     #: Trace coordinates of the submitting span (``--profile`` runs):
     #: the worker binds them so its span tree re-roots under the
@@ -95,14 +95,10 @@ def run_trial_task(task: TrialTask) -> TrialPayload:
     t0 = perf_counter()
     ok, result, error, tb = True, None, None, None
     try:
-        fn = task.fn
+        fn = broadcast_fn()
         if fn is None:
-            from repro.parallel.broadcast import broadcast_fn
-            fn = broadcast_fn()
-            if fn is None:
-                raise RuntimeError(
-                    "task carries no callable and no grid broadcast is "
-                    "installed in this worker")
+            raise RuntimeError(
+                "no grid broadcast is installed in this worker")
         result = fn(task.index, rng_for_trial(task.seed))
     except Exception as exc:            # noqa: BLE001 — shipped to parent
         ok, result = False, None

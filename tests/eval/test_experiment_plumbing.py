@@ -28,7 +28,7 @@ def stubbed(monkeypatch, trained_tiny_mlp, blob_data):
             captured.append(config)
 
     def fake_eval(deployer, test, n_trials=2, rng=None, batch_size=256,
-                  jobs=1, trial_timeout=None):
+                  jobs=1):
         return TrialResult(accuracies=[0.5] * n_trials)
 
     def fake_ideal(deployer, test, batch_size=256):

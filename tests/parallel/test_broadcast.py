@@ -1,9 +1,9 @@
 """Grid-scoped broadcast: one pickle per worker, shared-memory arrays.
 
 Covers the encode/install round-trip, the ``MIN_SHM_BYTES`` diversion
-threshold, the ``REPRO_SHM=0`` kill switch, the plain-pickle fallback
-when shared memory is unavailable, parent-side segment release, and the
-end-to-end contract: a process grid whose callable closes over a
+threshold, the plain-pickle fallback when shared memory is unavailable,
+the error an unpicklable callable raises, parent-side segment release,
+and the end-to-end contract: a process grid whose callable closes over a
 multi-megabyte array still matches the serial run bit-for-bit.
 """
 
@@ -30,6 +30,27 @@ BIG = np.arange(MIN_SHM_BYTES // 8 + 16, dtype=np.float64)
 def lookup_trial(payload, trial, rng):
     """Module-level (picklable) trial fn closing over a large array."""
     return float(payload[trial % payload.size]) + float(rng.normal())
+
+
+def lookup_then_call(payload, hook, trial, rng):
+    """Like :func:`lookup_trial`, but also closes over ``hook``."""
+    return hook(lookup_trial(payload, trial, rng))
+
+
+def _new_segments(before):
+    """``psm_*`` shared-memory names created since ``before``."""
+    return {n for n in set(os.listdir("/dev/shm")) - before
+            if n.startswith("psm_")}
+
+
+def _fail_shared_memory(monkeypatch):
+    """Make every shared-memory segment creation raise."""
+    from multiprocessing import shared_memory
+
+    def boom(*args, **kwargs):
+        raise OSError("no shm for you")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", boom)
 
 
 @pytest.fixture
@@ -80,34 +101,32 @@ class TestEncodeInstall:
 
 
 class TestKillSwitchAndFallback:
-    def test_repro_shm_0_disables(self, monkeypatch, clean_slot):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled()
+    def test_shm_failure_falls_back_to_plain_pickle(self, monkeypatch,
+                                                    clean_slot):
+        _fail_shared_memory(monkeypatch)
         blob, segments = encode_broadcast(functools.partial(lookup_trial,
                                                             BIG))
         assert segments == []
         assert len(blob) > BIG.nbytes             # arrays ride the blob
         assert pickle.loads(blob)(0, make_rng(0)) is not None
-
-    def test_shm_failure_falls_back_to_plain_pickle(self, monkeypatch,
-                                                    clean_slot):
-        from multiprocessing import shared_memory
-
-        def boom(*args, **kwargs):
-            raise OSError("no shm for you")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", boom)
-        blob, segments = encode_broadcast(functools.partial(lookup_trial,
-                                                            BIG))
-        assert segments == []
         install_broadcast(blob)
         assert broadcast_fn()(1, make_rng(1)) is not None
+
+    def test_unpicklable_callable_raises_and_releases(self):
+        if not shm_enabled() or not os.path.isdir("/dev/shm"):
+            pytest.skip("shared memory unavailable on this platform")
+        before = set(os.listdir("/dev/shm"))
+        # BIG pickles (into a segment) before the lambda fails.
+        fn = functools.partial(lookup_then_call, BIG, lambda v: v)
+        with pytest.raises(Exception):
+            encode_broadcast(fn)
+        assert _new_segments(before) == set()
 
 
 class TestWorkerContract:
     def test_stripped_task_without_broadcast_faults(self, clean_slot):
         broadcast._BROADCAST_FN = None
-        payload = run_trial_task(TrialTask(index=0, seed=0, fn=None))
+        payload = run_trial_task(TrialTask(index=0, seed=0))
         assert not payload.ok
         assert "no grid broadcast" in payload.error
 
@@ -115,7 +134,7 @@ class TestWorkerContract:
         blob, _ = encode_broadcast(functools.partial(lookup_trial,
                                                      np.arange(32.0)))
         install_broadcast(blob)
-        payload = run_trial_task(TrialTask(index=5, seed=0, fn=None))
+        payload = run_trial_task(TrialTask(index=5, seed=0))
         assert payload.ok and isinstance(payload.result, float)
 
 
@@ -136,9 +155,14 @@ class TestEndToEnd:
             assert obs_metrics.REGISTRY.counter_value(
                 "parallel.broadcast_shm_bytes") >= BIG.nbytes
 
-    def test_process_grid_matches_serial_without_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+    def test_process_grid_matches_serial_without_shm(self, monkeypatch,
+                                                     obs_on):
+        _fail_shared_memory(monkeypatch)
         assert self.grid(jobs=2) == self.grid(jobs=1)
+        assert obs_metrics.REGISTRY.counter_value(
+            "parallel.broadcast_shm_bytes") == 0
+        assert obs_metrics.REGISTRY.counter_value(
+            "parallel.broadcast_payload_bytes") > BIG.nbytes
 
     def test_no_leaked_segments(self):
         if not shm_enabled():
@@ -147,6 +171,4 @@ class TestEndToEnd:
             else None
         self.grid(jobs=2)
         if before is not None:
-            leaked = {n for n in set(os.listdir("/dev/shm")) - before
-                      if n.startswith("psm_")}
-            assert leaked == set()
+            assert _new_segments(before) == set()

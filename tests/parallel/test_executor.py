@@ -1,12 +1,13 @@
-"""Trial executor: backends, fallbacks, retries, timeouts, faults."""
+"""Trial executor: serial and process paths, serial fallback, retries, faults."""
 
+import functools
 import os
-import time
 
 import pytest
 
-from repro.parallel import (TrialExecutor, TrialFaultError, TrialRun,
-                            resolve_jobs, run_trials, trial_seeds)
+from repro.obs import metrics as obs_metrics
+from repro.parallel import (TrialFaultError, TrialRun, resolve_jobs,
+                            run_trials, trial_seeds)
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
 # ----------------------------------------------------------------------
@@ -40,9 +41,20 @@ def flaky_once(trial, rng):
     return trial
 
 
-def sleepy(trial, rng):
-    time.sleep(1.5)
-    return trial
+def flaky_first_attempt(marker, trial, rng):
+    """Trial 0's first attempt creates ``marker`` and raises; the rest
+    draw like :func:`draw` (a marker file works across processes)."""
+    if trial == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("transient")
+    return draw(trial, rng)
+
+
+def die_in_worker(parent_pid, trial, rng):
+    """Kills any worker process it runs in; draws in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return draw(trial, rng)
 
 
 def unpicklable_result(trial, rng):
@@ -69,21 +81,9 @@ class TestResolveJobs:
 
 
 class TestConstructorValidation:
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(backend="gpu")
-
-    def test_negative_retries(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(retries=-1)
-
-    def test_nonpositive_timeout(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(timeout_s=0)
-
     def test_negative_trials(self):
         with pytest.raises(ValueError):
-            TrialExecutor().run(draw, -1)
+            run_trials(draw, -1)
 
     def test_seed_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -98,12 +98,6 @@ class TestBackendEquivalence:
         par = run_trials(draw, 3, seed=42, jobs=2)
         assert serial.backend == "serial" and par.backend == "process"
         assert par.results() == serial.results()
-
-    def test_thread_matches_serial(self):
-        serial = run_trials(draw, 3, seed=42, jobs=1)
-        threaded = run_trials(draw, 3, seed=42, jobs=2, backend="thread")
-        assert threaded.backend == "thread"
-        assert threaded.results() == serial.results()
 
     def test_matches_spawn_rngs_reference(self):
         """The executor draws from the exact streams spawn_rngs yields."""
@@ -120,10 +114,12 @@ class TestBackendEquivalence:
 
 
 class TestPickleFallback:
-    def test_lambda_demotes_to_thread(self):
+    def test_lambda_falls_back_to_serial(self, obs_on):
         run = run_trials(lambda t, rng: float(rng.normal()), 2, seed=0,
                          jobs=2)
-        assert run.backend == "thread"
+        assert run.backend == "serial"
+        assert obs_metrics.REGISTRY.counter_value(
+            "parallel.serial_fallbacks") == 1
         serial = run_trials(lambda t, rng: float(rng.normal()), 2, seed=0,
                             jobs=1)
         assert run.results() == serial.results()
@@ -158,36 +154,28 @@ class TestFaults:
         assert run.results() == [0]
         assert run.outcomes[0].attempts == 2
 
-    def test_zero_retries_faults_immediately(self):
-        _FLAKY_CALLS["n"] = 0
-        run = run_trials(flaky_once, 1, seed=0, jobs=1, retries=0)
-        assert run.outcomes[0].attempts == 1
-        assert not run.outcomes[0].ok
+    def test_transient_failure_recovers_on_retry_in_pool(self, tmp_path):
+        fn = functools.partial(flaky_first_attempt, str(tmp_path / "marker"))
+        run = run_trials(fn, 2, seed=0, jobs=2)
+        assert run.backend == "process"
+        assert [o.attempts for o in run.outcomes] == [2, 1]
+        assert run.results() == run_trials(draw, 2, seed=0, jobs=1).results()
 
     def test_unpicklable_result_is_a_fault_not_a_crash(self):
-        # backend forced: one trial would otherwise resolve to serial,
-        # where an in-process result needs no pickle round-trip.
-        run = run_trials(unpicklable_result, 1, seed=0, jobs=2,
-                         retries=0, backend="process")
+        # Two trials so jobs=2 resolves to the process path, where the
+        # result must pickle back to the parent.
+        run = run_trials(unpicklable_result, 2, seed=0, jobs=2)
+        assert run.backend == "process"
         assert run.results(strict=False) == []
-        assert len(run.faults) == 1
+        assert [o.attempts for o in run.faults] == [2, 2]
 
-
-class TestTimeout:
-    def test_overdue_trial_times_out_and_faults(self):
-        t0 = time.perf_counter()
-        run = run_trials(sleepy, 1, seed=0, jobs=2, timeout_s=0.25,
-                         backend="process")
-        elapsed = time.perf_counter() - t0
-        outcome = run.outcomes[0]
-        assert outcome.timed_out and not outcome.ok
-        assert outcome.attempts == 2            # retried once, then fault
-        assert elapsed < 1.5                    # did not wait for the sleep
-
-    def test_timeout_not_enforced_on_thread_backend(self):
-        run = run_trials(sleepy, 1, seed=0, jobs=2, backend="thread",
-                         timeout_s=0.25)
-        assert run.results() == [0]             # ran to completion
+    def test_broken_pool_reruns_serially(self, obs_on):
+        fn = functools.partial(die_in_worker, os.getpid())
+        run = run_trials(fn, 3, seed=42, jobs=2)
+        assert run.backend == "serial"
+        assert run.results() == run_trials(draw, 3, seed=42, jobs=1).results()
+        assert obs_metrics.REGISTRY.counter_value(
+            "parallel.serial_fallbacks") == 1
 
 
 class TestMisc:
@@ -195,10 +183,6 @@ class TestMisc:
         run = run_trials(draw, 0, seed=0, jobs=2)
         assert isinstance(run, TrialRun)
         assert run.outcomes == [] and run.results() == []
-
-    def test_map_is_strict_results(self):
-        ex = TrialExecutor(jobs=1)
-        assert ex.map(draw, 2, seed=5) == run_trials(draw, 2, seed=5).results()
 
     def test_outcomes_in_trial_order(self):
         run = run_trials(draw, 4, seed=9, jobs=2)
