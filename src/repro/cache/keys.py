@@ -46,7 +46,8 @@ STAGE_VERSIONS: Mapping[str, int] = {
                         # v2: conv forward/backward are GEMMs (new order)
                         # v3: no_grad eval/calibration; no result changes
                         # v4: backend name left the key; one kernel set
-    "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
+    "vawo": 2,          # run_vawo solutions (core.vawo via core.pipeline)
+                        # v2: histogram-GEMM scoring (objective last bits)
     "serve_program": 7,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key

@@ -101,10 +101,6 @@ class _CrossbarBase(Module):
     def qmax(self) -> int:
         return (1 << self.weight_bits) - 1
 
-    @property
-    def register_count(self) -> int:
-        return self.plan.n_registers
-
     def set_complement(self, complement: np.ndarray) -> None:
         """Install the per-group complement mask (n_groups, cols).
 

@@ -8,9 +8,17 @@ offset ``b`` to minimise the first-order expected squared loss increase
 
 subject to ``E[R(v_i)] + b = w_i*``                            (Eq. 6).
 
-The solver follows the paper exactly: iterate over every 8-bit offset
-candidate, invert the E[R(v)] LUT to satisfy Eq. 6, score with the
-Var[R(v)] LUT, keep the best. Two refinements documented in DESIGN.md:
+The solver scores every 8-bit offset candidate exactly as the paper
+does: invert the E[R(v)] LUT to satisfy Eq. 6, score with the Var[R(v)]
+LUT, keep the best. It does so in histogram form. A group's score for
+offset ``b`` depends on each member only through its target ``w`` and
+its ``g^2``, so per group it builds ``H[w]`` (summed ``g^2`` of the
+members targeting ``w``) and ``A[w]`` (how many active members target
+``w``) with one ``np.bincount``. Two fixed ``(2^n, candidates)`` tables
+built from the LUTs, ``T_obj[w, j] = Var + bias^2`` and ``T_inf[w, j] =
+[bias^2 > tol^2]`` at target ``w - b_j``, then give every candidate's
+objective as ``H @ T_obj`` and its Eq. 6 violations as ``A @ T_inf``.
+Two refinements documented in DESIGN.md:
 
 * because ``v`` is discrete (and the offset range is finite), Eq. 6 can
   only hold to the nearest representable mean; the residual bias enters
@@ -26,7 +34,8 @@ Var[R(v)] LUT, keep the best. Two refinements documented in DESIGN.md:
 The weight-complement enhancement (Section III-C, "VAWO*") solves the
 same problem a second time for the complemented targets
 ``(2^n - 1) - w*`` and keeps whichever problem has the lower optimum,
-per group.
+per group. The complemented targets' histograms are the plain ones with
+their bins reversed, so the second solve needs no second ``bincount``.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ class _TargetTables:
     """Per-integer-target lookup tables over t = w* - b.
 
     ``t`` spans every value the Eq. 6 target ``w* - b`` can take, so the
-    per-offset scoring loop becomes pure table gathers.
+    per-(target, offset) scoring tables are pure gathers from these.
     """
 
     t_min: int
@@ -100,64 +109,59 @@ def _effective_grads(grads: np.ndarray, floor_frac: float) -> np.ndarray:
     return np.maximum(g, floor_frac * rms)
 
 
-def _score_offsets(w: np.ndarray, g2: np.ndarray, active: np.ndarray,
-                   tables: _TargetTables, candidates: np.ndarray,
-                   chunk: int,
+#: Offset groups (one register each) scored per block. Each per-block
+#: array is (block, 2^n) or (block, candidates) float64: 4 MB at 8-bit
+#: weights and offsets, whatever the layer shape or m.
+_GROUP_BLOCK = 2048
+
+
+def _offset_tables(tables: _TargetTables, qmax: int, candidates: np.ndarray,
                    bias_tolerance: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Best offset per group for padded (k, m, cols) weights/gradients.
+    """Per-(NTW, offset) objective and Eq. 6 violation tables.
+
+    Row ``w``, column ``j`` describes one weight with target ``w``
+    written under offset ``candidates[j]``: ``t_obj`` is its expected
+    squared deviation ``Var[R(v)] + bias^2`` and ``t_inf`` is 1.0 where
+    ``bias^2`` exceeds the tolerance. Both are (qmax + 1, candidates).
+    """
+    idx = tables.index(np.arange(qmax + 1)[:, None] - candidates[None, :])
+    bias2 = tables.bias[idx] ** 2
+    t_obj = tables.var[idx] + bias2
+    t_inf = (bias2 > bias_tolerance ** 2).astype(np.float64)
+    return t_obj, t_inf
+
+
+def _score_offsets(hist: np.ndarray, count: np.ndarray, t_obj: np.ndarray,
+                   t_inf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Best offset per group from its (n, qmax + 1) target histograms.
 
     Implements the paper's formulation: Eq. 6 is a *hard* constraint —
-    an offset is feasible only if every group member's target
-    ``w_i - b`` can be met by some CTW to within ``bias_tolerance``
-    (which absorbs LUT discreteness). Among feasible offsets the
-    objective is Eq. 5, ``sum_i g_i^2 Var[R(v_i)]``, plus the (tiny)
-    residual-bias MSE as a tie-breaker. Groups with no feasible offset
-    at all fall back to the minimum of the full expected squared
-    deviation ``sum_i g_i^2 (Var + bias^2)``.
+    an offset is feasible only if every active group member's target
+    ``w_i - b`` can be met by some CTW to within the bias tolerance
+    (which absorbs LUT discreteness). ``hist[g, w]`` sums ``g_i^2`` and
+    ``count[g, w]`` counts the active members over group ``g``'s members
+    with NTW ``w``. Among feasible offsets the objective is Eq. 5,
+    ``sum_i g_i^2 Var[R(v_i)]``, plus the (tiny) residual-bias MSE as a
+    tie-breaker. Groups with no feasible offset at all fall back to the
+    minimum of the same ``sum_i g_i^2 (Var + bias^2)``. Exact ties go to
+    the first candidate.
 
-    ``active`` masks padded rows out of the feasibility check. Returns
-    (best_b, best_objective), each (k, cols).
+    Returns (best candidate index, best objective), each (n,).
     """
-    k, m, cols = w.shape
-    best_obj = np.full((k, cols), np.inf)
-    best_b = np.zeros((k, cols), dtype=np.int64)
-    fallback_obj = np.full((k, cols), np.inf)
-    fallback_b = np.zeros((k, cols), dtype=np.int64)
-    base_idx = tables.index(w)                       # (k, m, cols)
-    act = active[None]                               # (1, k, m, cols)
-    for lo in range(0, len(candidates), chunk):
-        bs = candidates[lo:lo + chunk]               # (nb,)
-        idx = base_idx[None] - bs[:, None, None, None]
-        var = tables.var[idx]
-        bias2 = tables.bias[idx] ** 2
-        infeasible = ((bias2 > bias_tolerance ** 2) & act).any(axis=2)
-        obj = (g2[None] * (var + bias2)).sum(axis=2)  # (nb, k, cols)
-
-        arg_f = np.where(infeasible, np.inf, obj).argmin(axis=0)
-        val_f = np.take_along_axis(
-            np.where(infeasible, np.inf, obj), arg_f[None], axis=0)[0]
-        better = val_f < best_obj
-        best_obj = np.where(better, val_f, best_obj)
-        best_b = np.where(better, bs[arg_f], best_b)
-
-        arg_m = obj.argmin(axis=0)
-        val_m = np.take_along_axis(obj, arg_m[None], axis=0)[0]
-        better_m = val_m < fallback_obj
-        fallback_obj = np.where(better_m, val_m, fallback_obj)
-        fallback_b = np.where(better_m, bs[arg_m], fallback_b)
-
-    no_feasible = ~np.isfinite(best_obj)
-    best_obj = np.where(no_feasible, fallback_obj, best_obj)
-    best_b = np.where(no_feasible, fallback_b, best_b)
-    return best_b, best_obj
+    obj = hist @ t_obj                                # (n, candidates)
+    infeasible = (count @ t_inf) > 0
+    best = np.where(infeasible, np.inf, obj).argmin(axis=1)
+    no_feasible = infeasible.all(axis=1)
+    if no_feasible.any():
+        best[no_feasible] = obj[no_feasible].argmin(axis=1)
+    return best, np.take_along_axis(obj, best[:, None], axis=1)[:, 0]
 
 
 @check_shapes("(r,c),(r,c)")
 def run_vawo(ntw: np.ndarray, grads: np.ndarray, lut: DeviceLUT,
              plan: OffsetPlan, weight_bits: int = 8, offset_bits: int = 8,
              use_complement: bool = False, grad_floor_frac: float = 0.1,
-             bias_tolerance: float = 2.0,
-             offset_chunk: int = 16, col_chunk: int = 128) -> VAWOResult:
+             bias_tolerance: float = 2.0) -> VAWOResult:
     """Solve VAWO (optionally VAWO*) for one weight matrix.
 
     Parameters
@@ -177,8 +181,6 @@ def run_vawo(ntw: np.ndarray, grads: np.ndarray, lut: DeviceLUT,
     bias_tolerance:
         How far (in integer weight units) E[R(v)] + b may miss w* before
         an offset candidate is deemed infeasible (Eq. 6 violation).
-    offset_chunk / col_chunk:
-        Vectorisation block sizes (memory/speed trade-off only).
     """
     ntw = np.asarray(ntw)
     grads = np.asarray(grads, dtype=np.float64)
@@ -194,7 +196,7 @@ def run_vawo(ntw: np.ndarray, grads: np.ndarray, lut: DeviceLUT,
               granularity=plan.granularity, complement=use_complement):
         result = _run_vawo_impl(ntw, grads, lut, plan, qmax, offset_bits,
                                 use_complement, grad_floor_frac,
-                                bias_tolerance, offset_chunk, col_chunk)
+                                bias_tolerance)
     # Counters feed the run manifest: per-group offset search volume and
     # how often the Section III-C complement formulation wins.
     obs_metrics.inc("vawo.calls")
@@ -210,60 +212,62 @@ def run_vawo(ntw: np.ndarray, grads: np.ndarray, lut: DeviceLUT,
 def _run_vawo_impl(ntw: np.ndarray, grads: np.ndarray, lut: DeviceLUT,
                    plan: OffsetPlan, qmax: int, offset_bits: int,
                    use_complement: bool, grad_floor_frac: float,
-                   bias_tolerance: float, offset_chunk: int,
-                   col_chunk: int) -> VAWOResult:
+                   bias_tolerance: float) -> VAWOResult:
     candidates = offset_candidates(offset_bits)
     tables = _build_target_tables(lut, qmax, candidates)
+    t_obj, t_inf = _offset_tables(tables, qmax, candidates, bias_tolerance)
     # Floored gradient magnitudes keep the objective informative where
     # the mean gradient vanishes.
     g_mag = _effective_grads(grads, grad_floor_frac)
 
-    k, m = plan.n_groups, plan.granularity
-    registers = np.zeros((k, plan.cols), dtype=np.int64)
-    complement = np.zeros((k, plan.cols), dtype=bool)
-    objective = np.full((k, plan.cols), np.inf)
-    ctw = np.zeros((plan.rows, plan.cols), dtype=np.int64)
+    k, m, cols = plan.n_groups, plan.granularity, plan.cols
+    n_groups, bins = k * cols, qmax + 1
 
-    # Pad the row axis to whole groups; padded grads are 0 so padded
-    # rows never influence the objective.
+    def by_group(padded: np.ndarray) -> np.ndarray:
+        """(k*m, cols) padded rows -> (k*cols, m), one row per register."""
+        return padded.reshape(k, m, cols).transpose(0, 2, 1).reshape(
+            n_groups, m)
+
+    # Pad the row axis to whole groups; padded grads and activity are 0,
+    # so padded rows add nothing to either histogram.
     w_pad = plan.pad_rows(ntw.astype(np.int64))
-    gmag_pad = plan.pad_rows(g_mag, fill=0.0)
-    active_pad = plan.pad_rows(np.ones_like(ntw, dtype=np.float64),
-                               fill=0.0).astype(bool)
-    rows_pad = k * m
+    w_grp = by_group(w_pad)
+    g2_grp = by_group(plan.pad_rows(g_mag, fill=0.0)) ** 2
+    act_grp = by_group(plan.pad_rows(np.ones(ntw.shape), fill=0.0))
 
-    for c0 in range(0, plan.cols, col_chunk):
-        c1 = min(c0 + col_chunk, plan.cols)
-        w_blk = w_pad[:, c0:c1].reshape(k, m, c1 - c0)
-        g2_blk = gmag_pad[:, c0:c1].reshape(k, m, c1 - c0) ** 2
-        act_blk = active_pad[:, c0:c1].reshape(k, m, c1 - c0)
-
-        best_b, best_obj = _score_offsets(w_blk, g2_blk, act_blk, tables,
-                                          candidates, offset_chunk,
-                                          bias_tolerance)
-        comp_blk = np.zeros_like(best_b, dtype=bool)
+    best_idx = np.empty(n_groups, dtype=np.int64)
+    complement = np.zeros(n_groups, dtype=bool)
+    objective = np.empty(n_groups)
+    for lo in range(0, n_groups, _GROUP_BLOCK):
+        hi = min(lo + _GROUP_BLOCK, n_groups)
+        size = (hi - lo) * bins
+        slot = (np.arange(hi - lo)[:, None] * bins + w_grp[lo:hi]).ravel()
+        hist = np.bincount(slot, weights=g2_grp[lo:hi].ravel(),
+                           minlength=size).reshape(hi - lo, bins)
+        count = np.bincount(slot, weights=act_grp[lo:hi].ravel(),
+                            minlength=size).reshape(hi - lo, bins)
+        best, obj = _score_offsets(hist, count, t_obj, t_inf)
         if use_complement:
-            w_comp = qmax - w_blk
-            b_c, obj_c = _score_offsets(w_comp, g2_blk, act_blk, tables,
-                                        candidates, offset_chunk,
-                                        bias_tolerance)
-            use_c = obj_c < best_obj
-            best_obj = np.where(use_c, obj_c, best_obj)
-            best_b = np.where(use_c, b_c, best_b)
-            comp_blk = use_c
+            # qmax - w falls in bin qmax - w: reversed bins are the
+            # complemented targets' histograms.
+            best_c, obj_c = _score_offsets(hist[:, ::-1], count[:, ::-1],
+                                           t_obj, t_inf)
+            use_c = obj_c < obj
+            best = np.where(use_c, best_c, best)
+            obj = np.where(use_c, obj_c, obj)
+            complement[lo:hi] = use_c
+        best_idx[lo:hi] = best
+        objective[lo:hi] = obj
 
-        registers[:, c0:c1] = best_b
-        complement[:, c0:c1] = comp_blk
-        objective[:, c0:c1] = best_obj
-
-        # Recover the CTWs for the winning offsets.
-        eff_w = np.where(comp_blk[:, None, :], qmax - w_blk, w_blk)
-        t_idx = tables.index(eff_w - best_b[:, None, :])
-        v_blk = tables.v[t_idx].reshape(rows_pad, c1 - c0)
-        ctw[:, c0:c1] = v_blk[:plan.rows]
-
+    registers = candidates[best_idx].reshape(k, cols)
+    complement = complement.reshape(k, cols)
+    # Recover the CTWs for the winning offsets.
+    comp_rows = np.repeat(complement, m, axis=0)
+    eff_w = np.where(comp_rows, qmax - w_pad, w_pad)
+    t_idx = tables.index(eff_w - np.repeat(registers, m, axis=0))
+    ctw = tables.v[t_idx][:plan.rows]
     return VAWOResult(ctw=ctw, registers=registers, complement=complement,
-                      objective=objective)
+                      objective=objective.reshape(k, cols))
 
 
 @check_shapes("(r,c)")

@@ -101,6 +101,11 @@ class TestEncodeInstall:
 
 
 class TestKillSwitchAndFallback:
+    """Broadcast failure paths: without shared memory the arrays ride the
+    pickle blob, and an unpicklable callable raises after releasing the
+    segments it already made. There is no kill switch any more; the
+    class keeps its name so the test ids stay stable."""
+
     def test_shm_failure_falls_back_to_plain_pickle(self, monkeypatch,
                                                     clean_slot):
         _fail_shared_memory(monkeypatch)

@@ -84,6 +84,67 @@ class TestR9RngDiscipline:
         assert out[0].path.endswith("acc.py")
         assert "_trial" in out[0].message
 
+    @staticmethod
+    def _write_parallel_package(tmp_path):
+        """A repro.parallel with run_trials plus an unrelated ``map``."""
+        pkg = tmp_path / "src/repro/parallel"
+        pkg.mkdir(parents=True, exist_ok=True)
+        (pkg / "executor.py").write_text(textwrap.dedent("""\
+            def run_trials(fn, n_trials, seed=None, jobs=None):
+                return [fn(t, None) for t in range(n_trials)]
+
+
+            class Batches:
+                def map(self, fn, items):
+                    return [fn(item) for item in items]
+            """), encoding="utf-8")
+
+    def test_attribute_form_run_trials_trips(self, tmp_path):
+        """``parallel.run_trials(partial(...))`` seeds the trial fn."""
+        self._write_parallel_package(tmp_path)
+        acc = tmp_path / "src/repro/eval/acc.py"
+        acc.parent.mkdir(parents=True, exist_ok=True)
+        acc.write_text(textwrap.dedent("""\
+            from functools import partial
+
+            import numpy as np
+
+            from repro.parallel import executor
+
+
+            def _trial(model, trial, rng):
+                local = np.random.default_rng(trial)
+                return local.normal()
+
+
+            def evaluate(model, n):
+                return executor.run_trials(partial(_trial, model), n)
+            """), encoding="utf-8")
+        out = lint_tree(tmp_path, select=["R9"])
+        assert codes(out) == ["R9"]
+        assert out[0].path.endswith("acc.py")
+        assert "_trial" in out[0].message
+
+    def test_unrelated_pool_map_does_not_seed_workers(self, tmp_path):
+        """A ``pool.map(fn)`` is not a trial submission, even when some
+        repro.parallel function is also called ``map``."""
+        self._write_parallel_package(tmp_path)
+        other = tmp_path / "src/repro/eval/sweep.py"
+        other.parent.mkdir(parents=True, exist_ok=True)
+        other.write_text(textwrap.dedent("""\
+            import numpy as np
+
+
+            def _cell(seed):
+                local = np.random.default_rng(seed)
+                return local.normal()
+
+
+            def sweep(pool, seeds):
+                return pool.map(_cell, seeds)
+            """), encoding="utf-8")
+        assert lint_tree(tmp_path, select=["R9"]) == []
+
     def test_rng_ok_marker_with_reason_suppresses(self, tmp_path):
         worker = tmp_path / "src/repro/parallel/worker.py"
         worker.parent.mkdir(parents=True, exist_ok=True)

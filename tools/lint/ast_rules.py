@@ -187,7 +187,8 @@ class CacheSaltDriftRule(ProjectRule):
 # ----------------------------------------------------------------------
 # worker-context discovery shared by R9/R10
 # ----------------------------------------------------------------------
-_EXECUTOR_ENTRY_NAMES = ("run_trials", "run", "map")
+#: The one parallel-trial submission entry point.
+_EXECUTOR_ENTRY = "run_trials"
 
 
 def _trial_fn_expr(call: ast.Call) -> Optional[ast.expr]:
@@ -229,7 +230,7 @@ def worker_reachable(graph: ModuleGraph) -> Set[str]:
     Seeds are (a) everything defined under ``repro.parallel`` — the
     executor, worker bootstrap and broadcast machinery all run in the
     child — and (b) every trial callable handed to an executor
-    submission call (``run_trials(...)``, ``TrialExecutor.run/map``),
+    submission call (``run_trials(...)`` or ``parallel.run_trials(...)``),
     unwrapping ``functools.partial``. The closure follows loose edges:
     over-approximation is the safe direction for "could this run in a
     worker?".
@@ -261,11 +262,11 @@ def self_is_executor_submission(graph: ModuleGraph, info: FunctionInfo,
         dotted = aliased or f"{info.module}.{func.id}"
         target = graph.resolve_function(info.module, dotted) or dotted
         tail = target.rsplit(".", 1)[-1]
-        return tail == "run_trials" and "parallel" in target
-    if isinstance(func, ast.Attribute) and func.attr in _EXECUTOR_ENTRY_NAMES:
-        # Method form: executor.run(fn, ...) / executor.map(fn, ...) on
-        # an unknown receiver — accept when any repro.parallel function
-        # carries that name (loose, deliberately).
+        return tail == _EXECUTOR_ENTRY and "parallel" in target
+    if isinstance(func, ast.Attribute) and func.attr == _EXECUTOR_ENTRY:
+        # Attribute form: parallel.run_trials(fn, ...) on an unresolved
+        # receiver — accept when a repro.parallel function carries the
+        # name (loose, deliberately).
         return any("parallel" in qual
                    for qual in graph.by_name.get(func.attr, ()))
     return False
