@@ -2,13 +2,15 @@
 
 These are classic pytest-benchmark targets (many rounds, statistical
 timing) for the hot paths: device programming, the VAWO solver, the
-bit-accurate engine, and a crossbar-layer forward pass. They show where
-a kernel change moves time rather than reproducing a paper number; the
-gated speed numbers come from ``benchmarks/e2e``. Every kernel runs on
-the library's kernel set, :func:`repro.backend.get_backend`.
+bit-accurate engine, im2col, and a crossbar-layer forward pass. They
+show where a kernel change moves time rather than reproducing a paper
+number; the gated speed numbers come from ``benchmarks/e2e``. Every
+kernel runs on the library's kernel set,
+:func:`repro.backend.get_backend`.
 """
 
 import numpy as np
+import pytest
 
 from repro.backend import get_backend
 from repro.core.offsets import OffsetPlan
@@ -74,6 +76,20 @@ def test_conv2d_float_forward(benchmark):
     benchmark.pedantic(F.conv2d, args=(x, w),
                        kwargs=dict(stride=1, padding=1),
                        rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("c,hw,k,pad", [
+    pytest.param(8, 32, 3, 1, id="C8-32x32-pad1"),
+    pytest.param(16, 16, 3, 1, id="C16-16x16-pad1"),
+    pytest.param(1, 28, 5, 2, id="lenet-conv1"),
+])
+def test_im2col(benchmark, c, hw, k, pad):
+    """im2col alone at batch 64 on a channels-last activation, the
+    layout a conv/BN/ReLU output hands the next conv. One warmup round
+    builds the geometry's cached gather index outside the timing."""
+    x = make_rng(0).normal(size=(64, hw, hw, c)).transpose(0, 3, 1, 2)
+    benchmark.pedantic(get_backend().im2col, args=(x, k, k, 1, pad),
+                       rounds=5, iterations=1, warmup_rounds=1)
 
 
 def test_conv_via_crossbar_engine(benchmark):

@@ -13,8 +13,9 @@ at call time and call the methods defined here.
 Two implementations exist:
 
 * ``vectorized`` (:mod:`repro.backend.vectorized`) — the production
-  kernels: strided-view windows, a cache-blocked col2im, a batched
-  bit-serial VMM for finite ADCs and one packed GEMM for an ideal ADC;
+  kernels: a gather im2col, strided-view pooling windows, a
+  cache-blocked col2im, a batched bit-serial VMM for finite ADCs and
+  one packed GEMM for an ideal ADC;
 * ``reference`` (:mod:`repro.backend.reference`) — the original
   loop-based kernels, kept as the correctness oracle the tests
   construct and substitute through this interface.

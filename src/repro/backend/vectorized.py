@@ -3,11 +3,12 @@
 Same arithmetic as :mod:`repro.backend.reference`, restructured for
 throughput:
 
-* im2col is one ``np.lib.stride_tricks.as_strided`` view copied in a
-  single pass instead of a python loop over kernel positions, and
-  pooling windows are that view uncopied (read-only); im2col reads a
-  channels-last padded copy of the image, so a conv's channels-last
-  output feeds the next im2col through a contiguous read;
+* im2col is one ``np.take`` gather over the flattened channels-last
+  padded image, driven by a read-only index cached per geometry
+  (:func:`_im2col_index`) instead of a python loop over kernel
+  positions; a conv's channels-last output feeds the next im2col
+  through a contiguous read. Pooling windows are a zero-copy,
+  read-only ``as_strided`` view;
 * col2im folds into a channels-last buffer over cache-sized blocks of
   images, so each block of columns is read from cache on all but the
   first of its kh*kw passes;
@@ -35,6 +36,7 @@ library (lint rule R7): consumers go through
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -54,8 +56,8 @@ def _window_view(x: np.ndarray, kh: int, kw: int,
     """A zero-copy (N, C, kh, kw, OH, OW) sliding-window view of ``x``
     (N, C, H, W) in any memory layout; returns ``(view, OH, OW)``.
 
-    The view aliases ``x`` with overlapping strides — callers must copy
-    (e.g. via ``reshape``) before writing anywhere.
+    The view aliases ``x`` with overlapping strides — callers must never
+    write through it.
     """
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1
@@ -64,6 +66,33 @@ def _window_view(x: np.ndarray, kh: int, kw: int,
     view = as_strided(x, shape=(n, c, kh, kw, oh, ow),
                       strides=(sn, sc, sh, sw, sh * stride, sw * stride))
     return view, oh, ow
+
+
+@functools.lru_cache(maxsize=64)
+def _im2col_index(hp: int, wp: int, c: int, kh: int, kw: int,
+                  stride: int) -> np.ndarray:
+    """The read-only (OH*OW, C*kh*kw) ``intp`` gather index of im2col
+    over one flattened channels-last (Hp, Wp, C) padded image.
+
+    Entry ``[i*OW + j, (ch*kh + a)*kw + b]`` is the flat offset of
+    padded pixel ``(i*stride + a, j*stride + b)``, channel ``ch``. It
+    depends only on the geometry, so it is built once per geometry
+    (a network has a handful) and shared by every call; read-only, so
+    no caller can corrupt a cached copy, and a forked worker's
+    inherited cache is as valid as its own.
+    """
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    rows = np.arange(oh, dtype=np.intp)[:, None] * (stride * wp)
+    pixels = (rows + np.arange(ow, dtype=np.intp) * stride) * c   # (OH, OW)
+    taps = (np.arange(kh, dtype=np.intp)[:, None] * wp
+            + np.arange(kw, dtype=np.intp)) * c                   # (kh, kw)
+    channels = np.arange(c, dtype=np.intp)
+    idx = (pixels[:, :, None, None, None]
+           + channels[:, None, None]
+           + taps).reshape(oh * ow, c * kh * kw)
+    idx.flags.writeable = False
+    return idx
 
 
 def _channels_last_padded(x: np.ndarray, pad: int) -> np.ndarray:
@@ -80,7 +109,8 @@ def _channels_last_padded(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 class VectorizedBackend(KernelBackend):
-    """Strided-view windows and batched bit-serial VMM kernels."""
+    """Gather im2col, strided-view pooling windows and batched
+    bit-serial VMM kernels."""
 
     name = "vectorized"
 
@@ -90,17 +120,20 @@ class VectorizedBackend(KernelBackend):
     def _im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
                 pad: int) -> Tuple[np.ndarray, int, int]:
         """Unfold ``x`` (N, C, H, W) into the crossbar-row matrix
-        (N*OH*OW, C*kh*kw) by copying one strided window view of the
-        channels-last padded image in a single pass."""
+        (N*OH*OW, C*kh*kw) as one gather: each flattened channels-last
+        padded image is indexed by :func:`_im2col_index`, so every
+        element is a plain copy (bitwise, NaN and signed zeros
+        included) and the output is written in row order in one pass.
+        """
         xp = _channels_last_padded(x, pad)
         n, hp, wp, c = xp.shape
         oh = (hp - kh) // stride + 1
         ow = (wp - kw) // stride + 1
-        sn, sh, sw, sc = xp.strides
-        view = as_strided(xp, shape=(n, oh, ow, c, kh, kw),
-                          strides=(sn, sh * stride, sw * stride, sc, sh, sw))
-        # reshape of the overlapping view materialises the copy.
-        return view.reshape(n * oh * ow, c * kh * kw), oh, ow
+        idx = _im2col_index(hp, wp, c, kh, kw, stride)
+        # A contiguous (N, Hp*Wp*C) image view when pad > 0 or ``x`` is
+        # channels-last in memory; one layout copy otherwise.
+        cols = np.take(xp.reshape(n, hp * wp * c), idx, axis=1)
+        return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
     def _col2im(self, cols: np.ndarray, x_shape: Tuple[int, int, int, int],
                 kh: int, kw: int, stride: int, pad: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backend import get_backend
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.utils.contracts import check_shapes
 from repro.utils.rng import make_rng
 
@@ -241,11 +241,22 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     in ``x``'s memory layout. The backward is ``dx = (g * gamma) *
     (1/std)``, and ``dgamma``/``dbeta`` are the same NCHW reductions the
     composed graph runs, computed only for inputs that require grad.
+
+    Only ``dgamma`` reads ``x_hat``; when it will not run (``gamma`` is
+    frozen or the tape is off: PWT, serving, evaluation, calibration)
+    ``out`` is built inside the ``x_hat`` buffer, one array instead of
+    two.
     """
     inv_std = 1.0 / np.sqrt(running_var + eps)
     x_hat = x.data.transpose(0, 2, 3, 1) - running_mean
     x_hat *= inv_std
-    out = x_hat * gamma.data
+    saved_x_hat: Optional[np.ndarray] = None
+    if gamma.requires_grad and is_grad_enabled():
+        saved_x_hat = x_hat
+        out = x_hat * gamma.data
+    else:
+        out = x_hat
+        out *= gamma.data
     out += beta.data
 
     def backward(g: np.ndarray) -> None:
@@ -254,8 +265,11 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
             dx *= inv_std
             x._accumulate(dx.transpose(0, 3, 1, 2))
         if gamma.requires_grad:
+            if saved_x_hat is None:
+                raise RuntimeError("batch-norm gamma was frozen when its "
+                                   "forward ran; dgamma needs x_hat")
             gamma._accumulate(
-                (g * x_hat.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3)))
+                (g * saved_x_hat.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=(0, 2, 3)))
 

@@ -154,10 +154,6 @@ class Tensor:
         """Return the underlying array (shared, not copied)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Clear any accumulated gradient."""
         self.grad = None
@@ -322,15 +318,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def clip(self, lo: float, hi: float) -> "Tensor":
         """Clamp values to ``[lo, hi]``; gradient is 1 inside, 0 outside."""
         mask = (self.data >= lo) & (self.data <= hi)
@@ -447,21 +434,6 @@ class Tensor:
                 full = np.zeros_like(self.data, dtype=np.float64)
                 np.add.at(full, idx, g)
                 self._accumulate(full)
-
-        return self._make(out_data, (self,), backward)
-
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes by ``pad`` on every side."""
-        if pad == 0:
-            return self
-        width = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, width)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                sl = [slice(None)] * (self.ndim - 2) + \
-                     [slice(pad, -pad), slice(pad, -pad)]
-                self._accumulate(g[tuple(sl)])
 
         return self._make(out_data, (self,), backward)
 

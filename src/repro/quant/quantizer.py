@@ -99,9 +99,20 @@ class InputQuantizer:
         self._calibrated = True
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Return integer codes in [0, qmax] (negatives clip to 0)."""
-        return np.clip(np.round(np.asarray(x) / self.scale), 0, self.qmax)
+        """Return integer codes in [0, qmax] (negatives clip to 0).
+
+        ``clip(round(x / scale), 0, qmax)``, run in one new buffer laid
+        out like ``x``: the divide allocates it and round and clip
+        update it in place, so ``x`` is never written.
+        """
+        q = np.divide(x, self.scale)
+        np.round(q, out=q)
+        np.clip(q, 0, self.qmax, out=q)
+        return q
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Quantize-dequantize: the float value the crossbar actually sees."""
-        return self.quantize(x) * self.scale
+        """Quantize-dequantize: the float value the crossbar actually
+        sees, ``quantize(x) * scale`` scaled in the codes' buffer."""
+        q = self.quantize(x)
+        q *= self.scale
+        return q

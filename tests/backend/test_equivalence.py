@@ -7,7 +7,9 @@ dense engines (ideal and finite-resolution ADC, complemented offset
 groups, partial last groups, boolean-masked rows) and the conv/pooling
 window kernels (odd shapes, stride, padding). Engine and conv outputs
 must agree within rtol/atol 1e-9, col2im within 1e-12, and im2col (the
-channels-last crossbar-row matrix) and the pooling windows bitwise. The
+channels-last crossbar-row matrix) and the pooling windows bitwise;
+im2col also over both input memory layouts, float32, NaN and signed
+zeros, and its cached gather index is read-only. The
 semantic checks (wordline rows, adjoint, read-only taps) run on both
 kernel sets. Engines and layer ops resolve their kernels at call time,
 so those tests run them on each kernel set through the
@@ -163,6 +165,54 @@ class TestWindowKernels:
         assert (oh_alt, ow_alt) == (oh_ref, ow_ref) == self._out_hw(shape)
         assert alt.shape == ref.shape == (n * oh_ref * ow_ref, c * kh * kw)
         np.testing.assert_array_equal(alt, ref)
+
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", [
+        (1, 3, 7, 6, 3, 3, 1, 1),       # batch 1
+        (2, 2, 9, 8, 2, 4, 1, 0),       # kh != kw, no padding
+        (2, 3, 8, 11, 4, 2, 2, 1),      # kh != kw, stride
+        (2, 3, 11, 10, 2, 3, 4, 1),     # stride > kernel
+        (1, 2, 6, 6, 1, 1, 3, 0),       # 1x1, stride > kernel
+    ])
+    def test_im2col_bitwise_over_layouts_dtypes_and_specials(
+            self, kernels, shape, layout, dtype):
+        """The gather copies every element bit for bit — NaN and -0.0
+        included — in either input memory layout and dtype."""
+        n, c, h, w, kh, kw, stride, pad = shape
+        x = make_rng(25).normal(size=(n, c, h, w)).astype(dtype)
+        x.flat[::7] = -0.0
+        x.flat[3::11] = np.nan
+        if layout == "channels_last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+                0, 3, 1, 2)
+        before = x.tobytes()
+        ref, oh_ref, ow_ref = ORACLE.im2col(x, kh, kw, stride, pad)
+        alt, oh_alt, ow_alt = kernels.im2col(x, kh, kw, stride, pad)
+        assert (oh_alt, ow_alt) == (oh_ref, ow_ref) == self._out_hw(shape)
+        assert alt.dtype == ref.dtype == dtype
+        assert alt.shape == ref.shape == (n * oh_ref * ow_ref, c * kh * kw)
+        np.testing.assert_array_equal(alt, ref)
+        assert alt.tobytes() == ref.tobytes()      # signed zeros, NaN bits
+        assert x.tobytes() == before
+
+    def test_im2col_gather_index_is_cached_and_read_only(self):
+        """The gather index is built once per geometry and shared by
+        every call, so no caller may write it."""
+        from repro.backend.vectorized import _im2col_index
+
+        x = make_rng(26).normal(size=(2, 3, 9, 7))
+        get_backend().im2col(x, 3, 2, 2, 1)
+        hits = _im2col_index.cache_info().hits
+        get_backend().im2col(x[:1], 3, 2, 2, 1)     # same geometry
+        assert _im2col_index.cache_info().hits == hits + 1
+        idx = _im2col_index(11, 9, 3, 3, 2, 2)
+        assert idx is _im2col_index(11, 9, 3, 3, 2, 2)
+        assert idx.dtype == np.intp and idx.shape == (5 * 4, 3 * 3 * 2)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
 
     @pytest.mark.parametrize("kernels", BOTH)
     @pytest.mark.parametrize("shape", SHAPES)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend.reference import ReferenceBackend
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from tests.helpers import gradcheck, numeric_grad
 from repro.utils.rng import make_rng
 
@@ -420,6 +420,66 @@ class TestBatchNorm:
             else:
                 assert a.tobytes() == b.tobytes()
         assert (got[2] is None) == (not affine_grad)
+
+    @pytest.mark.parametrize("mode", ["frozen_gamma", "no_grad",
+                                      "gamma_grad"])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_eval_single_buffer_is_bitwise_and_leaves_x(self, rng, layout,
+                                                        mode):
+        """With ``gamma`` frozen or the tape off, ``out`` is built in the
+        ``x_hat`` buffer; either way it equals the composed graph bit
+        for bit, never aliases or writes ``x``, and with ``gamma``
+        requiring grad ``dgamma`` is the composed graph's."""
+        shape, c = (3, 4, 5, 2), 4
+        x_data = rng.normal(size=shape)
+        x_data.flat[::5] = -0.0
+        if layout == "channels_last":
+            x_data = _channels_last(x_data)
+        before = x_data.tobytes()
+        gamma_data, beta_data = rng.normal(size=c), rng.normal(size=c)
+        rmean, rvar = rng.normal(size=c), rng.uniform(0.1, 3.0, size=c)
+        g = rng.normal(size=shape)
+
+        def composed(x, gamma, beta):
+            inv_std = 1.0 / np.sqrt(rvar.reshape(1, c, 1, 1) + 1e-5)
+            x_hat = (x - rmean.reshape(1, c, 1, 1)) * inv_std
+            return (x_hat * gamma.reshape(1, c, 1, 1)
+                    + beta.reshape(1, c, 1, 1))
+
+        def run(bn):
+            x = Tensor(x_data, requires_grad=True)
+            gamma = Tensor(gamma_data, requires_grad=mode == "gamma_grad")
+            beta = Tensor(beta_data, requires_grad=True)
+            if mode == "no_grad":
+                with no_grad():
+                    out = bn(x, gamma, beta)
+                assert not out.requires_grad
+            else:
+                out = bn(x, gamma, beta)
+                out.backward(g)
+            return out.data, gamma.grad
+
+        got, dgamma = run(lambda x, gm, bt: F.batch_norm2d(
+            x, gm, bt, rmean, rvar, training=False))
+        want, dgamma_want = run(composed)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x_data)
+        assert x_data.tobytes() == before
+        if mode == "gamma_grad":
+            assert dgamma.tobytes() == dgamma_want.tobytes()
+        else:
+            assert dgamma is None
+
+    def test_eval_unfreezing_gamma_after_forward_fails_loudly(self, rng):
+        """The single-buffer forward kept no ``x_hat``, so ``dgamma``
+        cannot be computed later."""
+        x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        gamma = Tensor(np.ones(3))
+        out = F.batch_norm2d(x, gamma, Tensor(np.zeros(3)), np.zeros(3),
+                             np.ones(3), training=False)
+        gamma.requires_grad = True
+        with pytest.raises(RuntimeError, match="frozen"):
+            out.sum().backward()
 
     def test_gradcheck_gamma_beta(self, rng):
         x = rng.normal(size=(4, 2, 3, 3))

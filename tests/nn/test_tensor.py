@@ -34,11 +34,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert not b.requires_grad
-
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
 
@@ -129,9 +124,6 @@ class TestNonlinearGradients:
     def test_tanh(self):
         gradcheck(lambda ts: ts[0].tanh().sum(), [(4,)])
 
-    def test_sigmoid(self):
-        gradcheck(lambda ts: ts[0].sigmoid().sum(), [(4,)])
-
     def test_abs(self):
         gradcheck(lambda ts: (ts[0] + 5.0).abs().sum(), [(3,)])
 
@@ -217,13 +209,6 @@ class TestShapes:
         expected[1] = 2.0
         expected[2] = 1.0
         np.testing.assert_array_equal(t.grad, expected)
-
-    def test_pad2d_roundtrip_grad(self):
-        gradcheck(lambda ts: (ts[0].pad2d(1) ** 2).sum(), [(1, 1, 3, 3)])
-
-    def test_pad2d_zero_is_identity(self):
-        t = Tensor(np.ones((1, 1, 2, 2)))
-        assert t.pad2d(0) is t
 
     def test_stack_grad(self):
         gradcheck(lambda ts: (stack(ts, axis=0) ** 2).sum(),

@@ -100,6 +100,44 @@ class TestInputQuantizer:
         once = q.apply(x)
         np.testing.assert_array_equal(q.apply(once), once)
 
+    @staticmethod
+    def _activations(layout, dtype):
+        """A (4, 3, 5, 6) batch over the whole code range and beyond:
+        negatives, exact .5 ties, saturating values, -0.0 and NaN."""
+        x = make_rng(7).normal(0.4, 0.6, size=(4, 3, 5, 6))
+        x.flat[::9] = (np.arange(x.size)[::9] % 7 + 0.5) / 255
+        x.flat[1::13] = -0.0
+        x.flat[2::17] = np.nan
+        x = x.astype(dtype)
+        if layout == "channels_last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+                0, 3, 1, 2)
+        elif layout == "strided":
+            x = x[:, :, ::2, ::-1]
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last", "strided"])
+    def test_quantize_and_apply_equal_composed_formula(self, layout, dtype):
+        """``quantize``/``apply`` are bit for bit ``clip(round(x /
+        scale), 0, qmax)`` (times ``scale``), laid out like ``x``, and
+        never write ``x``."""
+        q = InputQuantizer(8)
+        q.calibrate(np.array([1.0]))
+        x = self._activations(layout, dtype)
+        before = x.tobytes()
+        codes_want = np.clip(np.round(x / q.scale), 0, q.qmax)
+        for got, want in ((q.quantize(x), codes_want),
+                          (q.apply(x), codes_want * q.scale)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, x)
+        assert x.tobytes() == before
+        if layout == "channels_last":
+            assert q.apply(x).transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             InputQuantizer(0)
