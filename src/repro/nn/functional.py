@@ -80,12 +80,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def backward(g: np.ndarray) -> None:
         g2 = g.transpose(0, 2, 3, 1).reshape(-1, f)         # (N*OH*OW, F)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(g2.sum(axis=0), owned=True)
         if weight.requires_grad:
             weight._accumulate((cols.T @ g2).T.reshape(weight.shape))
         if x.requires_grad:
             x._accumulate(backend.col2im(g2 @ w2.T, x_shape, kh, kw,
-                                         stride, padding))
+                                         stride, padding), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
@@ -163,7 +163,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             dx_tap = dx[:, :, i:i + stride * oh:stride,
                         j:j + stride * ow:stride]
             dx_tap += np.where(hit, g, 0.0)
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return Tensor._make(out, (x,), backward)
 
@@ -263,7 +263,7 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             dx = g.transpose(0, 2, 3, 1) * gamma.data
             dx *= inv_std
-            x._accumulate(dx.transpose(0, 3, 1, 2))
+            x._accumulate(dx.transpose(0, 3, 1, 2), owned=True)
         if gamma.requires_grad:
             if saved_x_hat is None:
                 raise RuntimeError("batch-norm gamma was frozen when its "
@@ -289,7 +289,7 @@ def dropout(x: Tensor, p: float, training: bool,
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * mask, owned=True)
 
     return Tensor._make(x.data * mask, (x,), backward)
 

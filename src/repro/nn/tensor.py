@@ -11,7 +11,10 @@ The design is a classic define-by-run tape:
   its parent tensors and a ``_backward`` closure that, given the output
   gradient, adds the correct contribution to each parent's ``.grad``;
 * ``backward()`` topologically sorts the graph and runs the closures in
-  reverse order.
+  reverse order, releasing each node's gradient and closure as soon as
+  the closure has run. A graph is backpropagated once (PyTorch's
+  ``retain_graph=False``): only leaves keep their ``.grad``, and a
+  second ``backward()`` through a released node raises.
 
 Inside :func:`no_grad` (a per-thread switch) ops return plain leaf
 tensors and record no tape; forward-only paths (evaluation, serving,
@@ -66,6 +69,16 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_mode.enabled = previous
+
+
+_RELEASED_MESSAGE = (
+    "backward runs once per graph: this graph's saved state was released "
+    "by an earlier backward(); rebuild the forward to backpropagate again")
+
+
+def _released(grad: np.ndarray) -> None:
+    """The closure a node holds once :meth:`Tensor.backward` has run it."""
+    raise RuntimeError(_RELEASED_MESSAGE)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -165,21 +178,27 @@ class Tensor:
     def _lift(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's ``.grad`` buffer.
 
-        The first write stores a float64 copy of ``grad`` in a new
-        buffer laid out like ``self.data``, so the tensor owns its
-        gradient (backward closures may hand one array to several
-        parents) and later writes add in place. The copy is ``grad +
-        0.0``, bit for bit the sum into a zeroed buffer it replaces
-        (-0.0 becomes +0.0), in one pass instead of two.
+        The first write stores ``grad + 0.0`` in a float64 buffer laid
+        out like ``self.data``, so the tensor owns its gradient
+        (backward closures may hand one array to several parents) and
+        later writes add in place. ``+ 0.0`` is bit for bit the sum into
+        a zeroed buffer (-0.0 becomes +0.0) in one pass instead of two.
+        A closure passes ``owned=True`` for a fresh array nothing else
+        references; when that array already has the buffer's dtype,
+        shape and strides, the ``+ 0.0`` runs in place and the array
+        becomes the buffer, with no second allocation and no copy.
         """
-        if self.grad is None:
-            self.grad = np.add(grad, 0.0, out=np.empty_like(
-                self.data, dtype=np.float64))
-        else:
+        if self.grad is not None:
             self.grad += grad
+            return
+        buf = np.empty_like(self.data, dtype=np.float64)
+        if (owned and isinstance(grad, np.ndarray) and grad.dtype == buf.dtype
+                and grad.shape == buf.shape and grad.strides == buf.strides):
+            buf = grad
+        self.grad = np.add(grad, 0.0, out=buf)
 
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
@@ -210,7 +229,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-g)
+                self._accumulate(-g, owned=True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -226,9 +245,11 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape),
+                                 owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape),
+                                  owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -240,10 +261,11 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
+                self._accumulate(_unbroadcast(g / other.data, self.shape),
+                                 owned=True)
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-g * self.data / other.data**2,
-                                               other.shape))
+                                               other.shape), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -257,7 +279,8 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
+                self._accumulate(g * exponent * self.data ** (exponent - 1),
+                                 owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -268,10 +291,10 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
+                self._accumulate(_unbroadcast(ga, self.shape), owned=True)
             if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape))
+                other._accumulate(_unbroadcast(gb, other.shape), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -305,7 +328,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * mask)
+                self._accumulate(g * mask, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -444,8 +467,16 @@ class Tensor:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to 1 for scalar outputs (the loss). Gradients
-        accumulate: call :meth:`zero_grad` (or an optimizer's
-        ``zero_grad``) between backward passes.
+        accumulate into leaves: call :meth:`zero_grad` (or an
+        optimizer's ``zero_grad``) between backward passes.
+
+        Each non-leaf node's ``.grad`` and backward closure (with the
+        buffers it saved: im2col columns, ReLU masks, BN's ``x_hat``)
+        are released as soon as the closure has run, so the pass frees
+        memory as it goes; node values and parent links stay until the
+        graph itself is dropped. A graph therefore backpropagates once:
+        a second ``backward()`` that reaches a released node raises
+        ``RuntimeError`` before any gradient is written.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -470,6 +501,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise RuntimeError(_RELEASED_MESSAGE)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -480,6 +513,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._backward = _released
 
     # ------------------------------------------------------------------
     # comparisons (non-differentiable, return raw arrays)

@@ -53,21 +53,32 @@ def environment_info() -> Dict[str, Any]:
     }
 
 
-def stage_totals(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Aggregate span records into per-name wall-time totals.
+def fold_span(totals: Dict[str, Dict[str, Any]],
+              record: Mapping[str, Any]) -> None:
+    """Fold one span record into per-name ``totals`` (in place).
 
-    Returns ``{name: {count, total_s, max_s}}``; still-open spans
-    (``duration_s`` is None) are counted but contribute no time.
+    Each entry is ``{count, total_s, max_s}``, plus ``max_rss_mb`` (the
+    highest process peak RSS any of the name's spans recorded at exit)
+    when the spans carry one. A still-open span (``duration_s`` is
+    None) is counted but contributes no time.
     """
+    entry = totals.setdefault(record["name"],
+                              {"count": 0, "total_s": 0.0, "max_s": 0.0})
+    entry["count"] += 1
+    duration = record.get("duration_s")
+    if duration is not None:
+        entry["total_s"] += duration
+        entry["max_s"] = max(entry["max_s"], duration)
+    rss = (record.get("attrs") or {}).get("max_rss_mb")
+    if rss is not None:
+        entry["max_rss_mb"] = max(entry.get("max_rss_mb", 0.0), rss)
+
+
+def stage_totals(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """Aggregate span records into per-name totals (see :func:`fold_span`)."""
     totals: Dict[str, Dict[str, Any]] = {}
     for record in spans:
-        entry = totals.setdefault(record["name"],
-                                  {"count": 0, "total_s": 0.0, "max_s": 0.0})
-        entry["count"] += 1
-        duration = record.get("duration_s")
-        if duration is not None:
-            entry["total_s"] += duration
-            entry["max_s"] = max(entry["max_s"], duration)
+        fold_span(totals, record)
     return totals
 
 

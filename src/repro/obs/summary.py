@@ -54,16 +54,21 @@ def render_summary(manifest: Mapping[str, Any]) -> str:
     stages = manifest.get("stages") or {}
     wall = manifest.get("wall_time_s") or 0.0
     if stages:
+        # Peak RSS at span exit, recorded by deploy.* and pwt.epoch.
+        with_rss = any("max_rss_mb" in entry for entry in stages.values())
         lines.append("")
-        lines.append(f"{'stage':<32}{'calls':>7}{'total':>13}{'share':>8}")
+        lines.append(f"{'stage':<32}{'calls':>7}{'total':>13}{'share':>8}"
+                     + (f"{'peak RSS':>12}" if with_rss else ""))
         order = sorted(stages.items(),
                        key=lambda item: item[1].get("total_s", 0.0),
                        reverse=True)
         for name, entry in order:
             total = entry.get("total_s", 0.0)
             share = f"{total / wall:6.1%}" if wall > 0 else "     -"
+            rss = entry.get("max_rss_mb")
             lines.append(f"{name:<32}{entry.get('count', 0):>7}"
-                         f"{_fmt_seconds(total):>13}{share:>8}")
+                         f"{_fmt_seconds(total):>13}{share:>8}"
+                         + (f"{rss:>9.0f} MB" if rss is not None else ""))
     else:
         lines.append("")
         lines.append("(no spans recorded — run with REPRO_OBS=1 or --profile)")

@@ -24,6 +24,12 @@ Cost model (the layer must be invisible when off):
   stage-level ``with`` spans stay in the code permanently and activate
   dynamically (``--profile`` enables them mid-process).
 
+Deploy-stage spans (``deploy.*``) and PWT epochs (``pwt.epoch``) also
+record the process's peak resident set size at exit as the
+``max_rss_mb`` attribute (``getrusage``'s ``ru_maxrss``), so a manifest
+shows which stage set the run's memory peak. Like every other record
+field it is only read while tracing is on.
+
 Long runs can stream: :meth:`Tracer.stream_to` attaches a
 :class:`SpanSink` so each span is appended to a JSONL file the moment
 it closes and its in-memory slot is released — a ``full``-preset run
@@ -48,6 +54,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import threading
 import time
 import uuid
@@ -56,11 +63,30 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.obs import runtime
+from repro.obs.manifest import fold_span
 from repro.utils.serialization import PathLike, _json_default
+
+try:
+    import resource
+except ImportError:                 # not a Unix host: no ru_maxrss
+    resource = None  # type: ignore[assignment]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
 _Token = Tuple[int, float]          # (record index, perf_counter at entry)
+
+#: Names of the spans that record ``max_rss_mb`` when they close.
+RSS_SPAN_PREFIXES = ("deploy.", "pwt.epoch")
+
+
+def max_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MB (``None``
+    where ``getrusage`` is unavailable)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
 
 
 def new_trace_id() -> str:
@@ -120,15 +146,10 @@ class SpanSink:
             self._fh.write(line + "\n")
             self._fh.flush()
             self._n_spans += 1
-            entry = self._stages.setdefault(
-                record["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0})
-            entry["count"] += 1
+            fold_span(self._stages, record)
             duration = record.get("duration_s")
-            if duration is not None:
-                entry["total_s"] += duration
-                entry["max_s"] = max(entry["max_s"], duration)
-                if record.get("parent_id") is None:
-                    self._top_level_wall_s += duration
+            if duration is not None and record.get("parent_id") is None:
+                self._top_level_wall_s += duration
 
     def summary(self) -> Dict[str, Any]:
         """Manifest-ready aggregate of everything written so far."""
@@ -236,6 +257,8 @@ class Tracer:
             if record is None:          # already drained by end_stream()
                 return
             record["duration_s"] = t1 - t0
+            if record["name"].startswith(RSS_SPAN_PREFIXES):
+                record["attrs"]["max_rss_mb"] = max_rss_mb()
             record["status"] = "error" if exc_type is not None else "ok"
             record["error"] = exc_type.__name__ if exc_type is not None else None
             if self._sink is not None:

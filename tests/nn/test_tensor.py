@@ -277,6 +277,106 @@ class TestBackwardMechanics:
         assert not np.signbit(t.grad).any()
         np.testing.assert_array_equal(t.grad, [[0.0, 1.0], [0.0, 1.0]])
 
+    def test_owned_first_grad_is_adopted_with_the_same_bytes(self):
+        """An owned array in the buffer's layout becomes the buffer; its
+        bits are those of the copy (-0.0 -> +0.0, NaNs kept)."""
+        values = np.array([[-0.0, np.nan, 1.5], [0.0, -2.5, -np.nan]])
+        copied = Tensor(np.zeros((2, 3)), requires_grad=True)
+        copied._accumulate(values.copy())
+        adopted = Tensor(np.zeros((2, 3)), requires_grad=True)
+        fresh = values.copy()
+        adopted._accumulate(fresh, owned=True)
+        assert adopted.grad is fresh
+        assert adopted.grad.tobytes() == copied.grad.tobytes()
+        assert not np.signbit(adopted.grad[0, 0])
+        assert np.isnan(adopted.grad[0, 1]) and np.isnan(adopted.grad[1, 2])
+
+    def test_owned_grad_in_another_layout_is_copied(self):
+        """Adoption needs the dtype, shape and strides the buffer would
+        have; anything else is copied into the data's layout."""
+        nhwc = np.zeros((2, 3, 4, 5))
+        t = Tensor(nhwc.transpose(0, 3, 1, 2), requires_grad=True)
+        nchw = np.arange(120.0).reshape(2, 5, 3, 4)
+        t._accumulate(nchw, owned=True)
+        assert t.grad is not nchw
+        assert t.grad.strides == t.data.strides
+        np.testing.assert_array_equal(t.grad, nchw)
+        u = Tensor(nhwc.transpose(0, 3, 1, 2), requires_grad=True)
+        same = np.arange(120.0).reshape(2, 3, 4, 5).transpose(0, 3, 1, 2)
+        u._accumulate(same, owned=True)
+        assert u.grad is same
+        for grad in (np.ones((2, 2), dtype=np.float32), np.float64(2.0)):
+            v = Tensor(np.zeros_like(grad), requires_grad=True)
+            v._accumulate(grad, owned=True)
+            assert v.grad is not grad and v.grad.dtype == np.float64
+
+    def test_add_never_hands_its_shared_grad_as_owned(self, monkeypatch):
+        """``__add__`` gives one array to both parents; neither adopts
+        it. Every array a closure does pass as owned shares memory with
+        no value in the graph and no gradient handed over before it
+        (later ones may be views a closure takes of its own adopted
+        ``.grad``; the parents receiving those copy them)."""
+        calls = []
+        accumulate = Tensor._accumulate
+
+        def spy(self, grad, owned=False):
+            calls.append((grad, owned))
+            accumulate(self, grad, owned)
+
+        rng = make_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=4), requires_grad=True)
+        beta = Tensor(rng.normal(size=4), requires_grad=True)
+        w = Tensor(rng.normal(size=(4 * 3 * 3, 5)), requires_grad=True)
+        h = F.conv2d(x, k, padding=1)
+        h = F.batch_norm2d(h, gamma, beta, np.zeros(4), np.ones(4),
+                           training=False)
+        h = F.max_pool2d(h.relu() + h, 2)
+        logits = h.reshape(2, -1) @ w
+        loss = F.cross_entropy(logits, np.array([1, 4]))
+        values = [n.data for n in (x, k, gamma, beta, w, h, logits, loss)]
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        loss.backward()
+        assert sum(flag for _, flag in calls) >= 6
+        for i, (g, flag) in enumerate(calls):
+            if flag:
+                earlier = [o for o, _ in calls[:i]] + values
+                assert not any(np.shares_memory(g, o) for o in earlier)
+        # Only the closure that made an array may own it: every later
+        # hand-over of the same array (``__add__``'s fan-out) copies.
+        handed_again = [flag for i, (g, flag) in enumerate(calls)
+                        if any(o is g for o, _ in calls[:i])]
+        assert handed_again and not any(handed_again)
+        assert not np.shares_memory(x.grad, k.grad)
+
+    def test_second_backward_raises_once_per_graph(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * 3.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="once per graph"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_new_graph_over_a_released_node_raises_before_writing(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([5.0, 7.0], requires_grad=True)
+        h = x * 2.0
+        h.sum().backward()
+        x.zero_grad()
+        with pytest.raises(RuntimeError, match="once per graph"):
+            (h * w).sum().backward()
+        assert x.grad is None and w.grad is None
+
+    def test_non_leaf_grads_released_leaf_grads_kept(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 2.0
+        loss = (h * h).sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [8.0, 16.0])
+        np.testing.assert_array_equal(h.data, [2.0, 4.0])
+
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).sum().backward()

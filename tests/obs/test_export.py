@@ -32,6 +32,54 @@ class TestStageTotals:
         assert totals["x"] == {"count": 1, "total_s": 0.0, "max_s": 0.0}
 
 
+class TestPeakRss:
+    """deploy.* and pwt.epoch spans carry the process's peak RSS."""
+
+    def test_stage_spans_record_max_rss_at_exit(self, obs_on):
+        with span("deploy.pwt"):
+            with span("pwt.epoch", epoch=0):
+                with span("vawo.search"):
+                    pass
+        by_name = {r["name"]: r for r in trace.TRACER.records()}
+        peak = trace.max_rss_mb()
+        for name in ("deploy.pwt", "pwt.epoch"):
+            assert 0 < by_name[name]["attrs"]["max_rss_mb"] <= peak
+        assert by_name["pwt.epoch"]["attrs"]["epoch"] == 0
+        assert "max_rss_mb" not in by_name["vawo.search"]["attrs"]
+        totals = stage_totals(trace.TRACER.records())
+        assert totals["deploy.pwt"]["max_rss_mb"] > 0
+        assert "max_rss_mb" not in totals["vawo.search"]
+
+    def test_totals_keep_the_highest_peak(self):
+        spans = [{"name": "deploy.eval", "duration_s": 1.0,
+                  "attrs": {"max_rss_mb": rss}} for rss in (900.0, 1200.0)]
+        assert stage_totals(spans)["deploy.eval"]["max_rss_mb"] == 1200.0
+
+    def test_summary_prints_the_peak_column(self):
+        doc = {"command": "deploy", "wall_time_s": 2.0, "metrics": {},
+               "stages": {"deploy.pwt": {"count": 1, "total_s": 1.5,
+                                         "max_s": 1.5, "max_rss_mb": 832.4},
+                          "vawo.search": {"count": 2, "total_s": 0.5,
+                                          "max_s": 0.3}}}
+        text = render_summary(doc)
+        assert "peak RSS" in text
+        row = next(line for line in text.splitlines()
+                   if line.startswith("deploy.pwt"))
+        assert row.endswith("832 MB")
+        assert "peak RSS" not in render_summary(
+            {"command": "deploy", "metrics": {},
+             "stages": {"vawo.search": doc["stages"]["vawo.search"]}})
+
+    def test_off_never_reads_rusage(self, obs_off, monkeypatch):
+        def fail():
+            raise AssertionError("read RSS with tracing off")
+
+        monkeypatch.setattr(trace, "max_rss_mb", fail)
+        with span("deploy.pwt"):
+            pass
+        assert trace.TRACER.records() == []
+
+
 class TestBuildManifest:
     def test_schema_and_wall_time(self, obs_on):
         _record_run()
