@@ -20,6 +20,7 @@ from repro.device.lut import DeviceModel, build_lut_analytic
 from repro.device.variation import VariationModel
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
 from repro.utils.rng import make_rng
 
@@ -49,21 +50,26 @@ def test_vawo_solver_128x128(benchmark):
                        rounds=3, iterations=1)
 
 
-def test_bit_accurate_engine_forward(benchmark):
+@pytest.mark.parametrize("adc_bits", [None, 6], ids=["ideal-adc", "6bit-adc"])
+def test_bit_accurate_engine_forward(benchmark, adc_bits):
+    """The engine VMM under an ideal ADC (one packed GEMM) and a 6-bit
+    ADC (blocked stacked-bit GEMMs, in-place codes, integer-domain
+    shift-and-add) at full scale ``m * max_level``."""
     rng = make_rng(0)
     device = DeviceModel(MLC2, VariationModel(0.5), n_bits=8)
     plan = OffsetPlan(128, 32, 16)
     values = rng.integers(0, 256, size=(128, 32))
+    adc = (ADC() if adc_bits is None else
+           ADC(bits=adc_bits, full_scale=float(16 * MLC2.max_level)))
     engine = CrossbarEngine(
         cells=device.program_cells(values, rng), plan=plan,
         registers=np.zeros((plan.n_groups, 32)),
         complement=np.zeros((plan.n_groups, 32), dtype=bool),
         cell=MLC2, input_scale=1 / 255, weight_scale=0.01,
-        weight_zero_point=128)
+        weight_zero_point=128, adc=adc)
     x = rng.uniform(0, 1, size=(16, 128))
-    # One warmup round so the one-time setup (cached packed operands,
-    # einsum path caches) is excluded from the steady-state
-    # mean.
+    # One warmup round so the one-time setup (cached packed and
+    # grouped operands) is excluded from the steady-state mean.
     benchmark.pedantic(engine.forward, args=(x,), rounds=3, iterations=1,
                        warmup_rounds=1)
 

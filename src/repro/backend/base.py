@@ -14,8 +14,9 @@ Two implementations exist:
 
 * ``vectorized`` (:mod:`repro.backend.vectorized`) — the production
   kernels: a gather im2col, strided-view pooling windows, a
-  cache-blocked col2im, a batched bit-serial VMM for finite ADCs and
-  one packed GEMM for an ideal ADC;
+  cache-blocked col2im, blocked stacked-bit GEMMs with an
+  integer-domain shift-and-add for finite ADCs and one packed GEMM
+  for an ideal ADC;
 * ``reference`` (:mod:`repro.backend.reference`) — the original
   loop-based kernels, kept as the correctness oracle the tests
   construct and substitute through this interface.

@@ -18,10 +18,15 @@ throughput:
   correction fold into one cached matrix
   (:attr:`EngineOperands.packed_ideal_weights`) — the whole crossbar
   VMM is a single ``xq @ P`` GEMM;
-* with a finite ADC the bit-serial VMM vectorizes the input-bit ×
-  offset-group × cell-significance loops of the reference engine into a
-  handful of batched einsums over the group-reshaped cell tensor, and
-  the digital offset add and complement post-processing use the
+* with a finite ADC the bit-serial VMM stacks all input bit planes of
+  a cache-sized block of input rows and runs the analog contraction of
+  every (bit, offset group) cycle as one batched GEMM against the
+  group-reshaped cell tensor. The ADC turns the currents into integer
+  codes in place, and the shift-and-add over cell significances and
+  input bits runs on those codes in the integer domain, where float64
+  is exact: one GEMV over cells, one small contraction over bits, the
+  complement sign per group and a single multiply by the ADC LSB. The
+  digital offset add and complement post-processing then use the
   precomputed per-group input-sum gain matrix
   (:attr:`EngineOperands.offset_gain`): one (N, k) @ (k, cols) matmul
   replaces the per-group broadcast/where pass.
@@ -49,6 +54,12 @@ from repro.backend.base import EngineOperands, KernelBackend
 #: small enough that a block stays cache-resident across the kh*kw
 #: strided passes that fold it.
 COL2IM_BLOCK_BYTES = 1 << 20
+
+#: Target size of the ADC currents one block of input rows produces in
+#: the finite-ADC :meth:`VectorizedBackend._engine_vmm`: small enough
+#: that the currents stay cache-resident from the GEMM that makes them
+#: through the in-place ADC conversion and the shift-and-add.
+ENGINE_ADC_BLOCK_BYTES = 1 << 20
 
 
 def _window_view(x: np.ndarray, kh: int, kw: int,
@@ -185,30 +196,64 @@ class VectorizedBackend(KernelBackend):
         exactly (``sum_b 2^b x_bit = x``) and the digital terms are
         linear too, so the whole VMM is one GEMM against the cached
         packed matrix. A finite-resolution ADC must convert each
-        (input bit, offset group) current separately; that path loops
-        over the ``input_bits`` bit planes only and contracts all
-        groups, columns and cell significances in batched einsums.
+        (input bit, offset group) current separately;
+        :func:`_adc_readout` does that over cache-sized blocks of
+        stacked bit planes, one batched GEMM per block.
         """
         xqf = xq.astype(np.float64)
         if op.adc.ideal:
             return xqf @ op.packed_ideal_weights
 
-        n = xq.shape[0]
-        cells_g = op.cells_grouped                          # (k, m, c, s)
-        z_groups = np.zeros((n, op.n_groups, op.cols))
-        for bit in range(op.input_bits):
-            x_bit = ((xq >> bit) & 1).astype(np.float64)
-            drive = op.grouped_inputs(x_bit)                # (N, k, m)
-            currents = np.einsum("nkm,kmcs->nkcs", drive, cells_g,
-                                 optimize=True)
-            converted = op.adc.convert(currents)
-            z_groups += float(1 << bit) * np.einsum(
-                "nkcs,s->nkc", converted, op.significance,
-                optimize=True)
-        z = np.einsum("nkc,kc->nc", z_groups, op.sign, optimize=True)
-
+        z = _adc_readout(xq, op)
         # Digital offset + complement folded into one matmul (Eq. 7),
         # then the ISAAC zero-point correction.
-        z = z + op.group_input_sums(xqf) @ op.offset_gain
+        z += op.group_input_sums(xqf) @ op.offset_gain
         total_x = xqf.sum(axis=1, keepdims=True)
         return z - op.weight_zero_point * total_x
+
+
+def _adc_block_rows(op: EngineOperands) -> int:
+    """Input rows per block of :func:`_adc_readout`: as many as keep the
+    block's currents within :data:`ENGINE_ADC_BLOCK_BYTES`, at least 1."""
+    per_row = op.n_groups * op.input_bits * op.cols * op.n_cells * 8
+    return max(1, ENGINE_ADC_BLOCK_BYTES // per_row)
+
+
+def _adc_readout(xq: np.ndarray, op: EngineOperands) -> np.ndarray:
+    """The analog term of a finite-ADC VMM: quantized inputs (N, rows)
+    -> the complement-signed, shift-and-added ADC readout (N, cols).
+
+    Per block of input rows, the bit planes of the grouped inputs stack
+    into a (k, block*bits, m) drive, and one batched GEMM against the
+    (k, m, cols*cells) cell tensor gives every cycle's cell-column
+    current. :meth:`repro.xbar.adc.ADC.codes` turns them into integer
+    codes in place. Codes times significance times ``2^bit`` are exact
+    integers in float64, so the shift-and-add (a GEMV over cells, then
+    a contraction over bits) and the per-group complement sign are
+    exact in any order, and the LSB is applied once at the end.
+    """
+    n = xq.shape[0]
+    k, m, bits = op.n_groups, op.granularity, op.input_bits
+    cols, n_cells = op.cols, op.n_cells
+    cells = op.cells_grouped.reshape(k, m, cols * n_cells)
+    # Only the low ``bits`` bits of a code are read, and the smallest
+    # unsigned type that holds them keeps those bits exactly.
+    plane_t = np.min_scalar_type((1 << bits) - 1)
+    xg = np.ascontiguousarray(
+        op.grouped_inputs(xq.astype(plane_t)).transpose(1, 0, 2))  # (k, N, m)
+    shifts = np.arange(bits, dtype=plane_t)[:, None]
+    bit_weights = np.ldexp(1.0, np.arange(bits))                    # 2^bit
+    block = _adc_block_rows(op)
+    z = np.empty((n, cols))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        nb = hi - lo
+        drive = ((xg[:, lo:hi, None, :] >> shifts) & 1).astype(np.float64)
+        codes = np.matmul(drive.reshape(k, nb * bits, m), cells)
+        op.adc.codes(codes, out=codes)           # (k, nb*bits, cols*cells)
+        by_bit = codes.reshape(-1, n_cells) @ op.significance
+        by_group = np.matmul(bit_weights, by_bit.reshape(k * nb, bits, cols))
+        signed = np.einsum("knc,kc->nc", by_group.reshape(k, nb, cols),
+                           op.sign)
+        np.multiply(signed, op.adc.step, out=z[lo:hi])
+    return z

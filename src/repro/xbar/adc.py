@@ -49,13 +49,35 @@ class ADC:
             raise ValueError("ideal ADC has no quantization step")
         return self.full_scale / ((1 << self.bits) - 1)
 
+    def codes(self, current: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The integer output codes of a non-ideal converter, as float64.
+
+        Clips ``current`` to ``[0, full_scale]``, divides by
+        :attr:`step` and rounds half to even, in that order: the order
+        fixes which code an exact half-step current gets, so no caller
+        may fold the division into its operands or reorder it.
+        Elementwise: the result has the shape of ``current``. With
+        ``out`` (a float64 array of that shape, ``current`` itself
+        allowed) the codes are written there in place; without it
+        ``current`` is never written. An ideal converter has no codes
+        and raises ``ValueError``, as :attr:`step` does.
+        """
+        step = self.step
+        current = np.asarray(current, dtype=np.float64)
+        if out is None:
+            out = np.empty_like(current)
+        np.clip(current, 0.0, self.full_scale, out=out)
+        np.divide(out, step, out=out)
+        return np.round(out, out=out)
+
     def convert(self, current: np.ndarray) -> np.ndarray:
-        """Digitise ``current``; returns values on the quantizer grid.
+        """Digitise ``current``; returns values on the quantizer grid,
+        ``codes(current) * step`` for a non-ideal converter.
 
         Elementwise: the result has the same shape as ``current``.
         """
         current = np.asarray(current, dtype=np.float64)
         if self.ideal:
             return current
-        clipped = np.clip(current, 0.0, self.full_scale)
-        return np.round(clipped / self.step) * self.step
+        return self.codes(current) * self.step

@@ -13,7 +13,10 @@ zeros, and its cached gather index is read-only. The
 semantic checks (wordline rows, adjoint, read-only taps) run on both
 kernel sets. Engines and layer ops resolve their kernels at call time,
 so those tests run them on each kernel set through the
-``swap_kernels`` fixture.
+``swap_kernels`` fixture. The finite-ADC kernel must also give every
+conversion the oracle's code: integer-level cells put many currents
+exactly on half-step ties, and saturating, all-zero and block-edge
+batches are checked too.
 """
 
 import numpy as np
@@ -21,12 +24,14 @@ import pytest
 
 from repro.backend import get_backend
 from repro.backend.reference import ReferenceBackend
+from repro.backend.vectorized import _adc_block_rows
 from repro.core.offsets import OffsetPlan
 from repro.device.cell import MLC2, SLC
 from repro.device.lut import DeviceModel
 from repro.device.variation import VariationModel
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.quant.bitslice import cell_significances
 from repro.utils.rng import make_rng
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
@@ -38,12 +43,21 @@ PRODUCTION = [pytest.param(get_backend(), id=get_backend().name)]
 BOTH = [pytest.param(ORACLE, id=ORACLE.name), *PRODUCTION]
 
 
-def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False):
+def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False,
+                 integer_levels=False):
+    """A random engine over programmed noisy cells or, with
+    ``integer_levels``, over integer-level cells (``0..max_level``),
+    whose every cell-column current is an exact integer."""
     rng = make_rng(seed)
-    device = DeviceModel(cell, VariationModel(0.5), n_bits=8)
     plan = OffsetPlan(rows, cols, m)
-    values = rng.integers(0, 256, size=(rows, cols))
-    cells = device.program_cells(values, rng)
+    if integer_levels:
+        n_cells = len(cell_significances(8, cell.bits))
+        cells = rng.integers(0, cell.max_level + 1,
+                             size=(rows, cols, n_cells)).astype(float)
+    else:
+        device = DeviceModel(cell, VariationModel(0.5), n_bits=8)
+        values = rng.integers(0, 256, size=(rows, cols))
+        cells = device.program_cells(values, rng)
     registers = rng.integers(-40, 40,
                              size=(plan.n_groups, cols)).astype(float)
     complement = (rng.random((plan.n_groups, cols)) > 0.5 if complemented
@@ -127,6 +141,99 @@ class TestEngineVMM:
         engine = build_engine(16, 4, 8, SLC, seed=7)
         op = engine._operands
         assert op.packed_ideal_weights is op.packed_ideal_weights
+
+
+def adc_currents(engine, x):
+    """Every (input bit, group, column, cell) current ``engine`` hands
+    its ADC on ``x``."""
+    op = engine._operands
+    xq = engine.quantize_inputs(np.atleast_2d(x))
+    return np.stack([
+        np.einsum("nkm,kmcs->nkcs", op.grouped_inputs((xq >> bit) & 1),
+                  op.cells_grouped)
+        for bit in range(op.input_bits)])
+
+
+class TestFiniteADCExactness:
+    """The finite-ADC kernel must give every conversion the oracle's
+    code: one flipped code moves an output by at least one LSB, far
+    above the 1e-9 tolerance."""
+
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    @pytest.mark.parametrize("adc_bits", [3, 5, 7])
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("cell", [SLC, MLC2], ids=["slc", "mlc2"])
+    def test_exact_half_step_ties(self, swap_kernels, kernels, cell, m,
+                                  adc_bits):
+        """Integer-level cells and an ADC of full scale ``m * L`` put
+        many currents exactly half a step between two codes (mid-scale,
+        ``m * L / 2``, is a tie for every ADC here); clip, divide and
+        round in the ADC's order must break every tie the oracle's
+        way."""
+        adc = ADC(bits=adc_bits, full_scale=float(m * cell.max_level))
+        engine = build_engine(4 * m, 6, m, cell, seed=40 + m, adc=adc,
+                              complemented=True, integer_levels=True)
+        x = make_rng(41).integers(0, 256, size=(64, 4 * m)) / 255
+        # The quotients the ADC rounds, in its own op order.
+        q = np.clip(adc_currents(engine, x), 0.0, adc.full_scale) / adc.step
+        assert np.count_nonzero(q - np.floor(q) == 0.5) > 100
+        ref, alt = on_both(swap_kernels, kernels, lambda: engine.forward(x))
+        np.testing.assert_allclose(alt, ref, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    @pytest.mark.parametrize("cell", [SLC, MLC2], ids=["slc", "mlc2"])
+    def test_saturation_and_zero_drive(self, swap_kernels, kernels, cell):
+        """Currents above full scale clip to the top code; all-zero
+        drives read code 0 and leave only the digital terms."""
+        m = 8
+        adc = ADC(bits=4, full_scale=float(m * cell.max_level) / 4)
+        engine = build_engine(3 * m + 5, 7, m, cell, seed=42, adc=adc,
+                              complemented=True, integer_levels=True)
+        rng = make_rng(43)
+        x_full = np.ones((5, 3 * m + 5))
+        x_mixed = rng.integers(0, 256, size=(9, 3 * m + 5)) / 255
+        x_mixed[::2] = 0.0
+        x_zero = np.zeros((4, 3 * m + 5))
+        currents = adc_currents(engine, np.vstack([x_full, x_mixed]))
+        assert np.count_nonzero(currents > adc.full_scale) > 0
+        assert np.count_nonzero(currents == 0.0) > 0
+        ref, alt = on_both(
+            swap_kernels, kernels,
+            lambda: [engine.forward(x) for x in (x_full, x_mixed, x_zero)])
+        for got, expected in zip(alt, ref):
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    @pytest.mark.parametrize("blocks,extra", [
+        (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["0", "1", "block-1", "block", "block+1", "2block+1"])
+    def test_batch_sizes_around_block_edges(self, swap_kernels, kernels,
+                                            blocks, extra):
+        """Every input row lands in exactly one block, whatever the
+        batch size relative to the block."""
+        adc = ADC(bits=6, full_scale=16.0)
+        engine = build_engine(29, 5, 16, SLC, seed=44, adc=adc,
+                              complemented=True)
+        n = blocks * _adc_block_rows(engine._operands) + extra
+        x = make_rng(45).uniform(0, 1, size=(n, 29))
+        ref, alt = on_both(swap_kernels, kernels, lambda: engine.forward(x))
+        assert alt.shape == ref.shape == (n, 5)
+        np.testing.assert_allclose(alt, ref, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kernels", PRODUCTION)
+    @pytest.mark.parametrize("adc_bits", [2, 6, 10])
+    @pytest.mark.parametrize("complemented", [False, True],
+                             ids=["plain", "complement"])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_group_sizes_with_partial_last_group(
+            self, swap_kernels, kernels, m, complemented, adc_bits):
+        rows = 2 * m + m // 2 + 1
+        adc = ADC(bits=adc_bits, full_scale=float(m * MLC2.max_level))
+        engine = build_engine(rows, 6, m, MLC2, seed=46 + m, adc=adc,
+                              complemented=complemented)
+        x = make_rng(47).uniform(0, 1, size=(11, rows))
+        ref, alt = on_both(swap_kernels, kernels, lambda: engine.forward(x))
+        np.testing.assert_allclose(alt, ref, rtol=1e-9, atol=1e-9)
 
 
 class TestWindowKernels:
