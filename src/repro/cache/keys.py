@@ -31,11 +31,15 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 5,      # trained workload weights (eval.experiments)
+    "data": 1,          # synthetic train/test split (eval.experiments)
+    "workload": 6,      # trained workload weights (eval.experiments)
                         # v2: GEMM conv sums in a new order (last bits)
                         # v3: NaN-loss guard (no finite result changes)
                         # v4: no_grad eval/calibration; no result changes
                         # v5: backend name left the key; one kernel set
+                        # v6: split read from the data stage; float
+                        # accuracy stored with the weights; no result
+                        # changes
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
     "calibrate": 4,     # per-layer input activation peaks (core.pipeline)

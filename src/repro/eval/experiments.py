@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.arch.area import tile_overhead
 from repro.arch.energy import deployment_reading_power
 from repro.baselines.dva import DVA_DEVICES_PER_WEIGHT, DVAConfig, train_dva
 from repro.baselines.pm import (PM_DEVICES_PER_WEIGHT, PMConfig, deploy_pm)
-from repro.cache import resolve_store, stage_key
+from repro.cache import CacheStore, resolve_store, stage_key
 from repro.core.pipeline import DeployConfig, Deployer
 from repro.core.pwt import PWTConfig
 from repro.data.loaders import Dataset
@@ -119,6 +119,44 @@ def workload_names() -> List[str]:
     return sorted(_SPECS)
 
 
+#: Entry of the ``workload`` artifact holding the trained model's float
+#: test accuracy next to its state dict.
+_FLOAT_ACCURACY = "float_accuracy"
+
+
+def _workload_data(spec: WorkloadSpec, seed: int,
+                   store: Optional[CacheStore]) -> Tuple[Dataset, Dataset]:
+    """The workload's synthetic ``(train, test)`` split (``data`` stage).
+
+    Synthesis and the 80/20 split draw from one ``make_rng(seed)``
+    stream, so both live inside the stage: a hit skips the two together
+    and no other stream sees a difference. With no ``store`` the same
+    function computes uncached.
+    """
+    def synthesize() -> Dict[str, np.ndarray]:
+        rng = make_rng(seed)
+        if spec.dataset == "digits":
+            images, labels = synthetic_digits(spec.n_samples, rng=rng)
+        else:
+            images, labels = synthetic_cifar(spec.n_samples, rng=rng)
+        # Spelled unbound so the stage's R8 hash covers the split too.
+        train, test = Dataset.split(Dataset(images, labels), 0.8, rng=rng)
+        return {"train_images": train.images, "train_labels": train.labels,
+                "test_images": test.images, "test_labels": test.labels}
+
+    if store is None:
+        arrays = synthesize()
+    else:
+        key = stage_key("data", dataset=spec.dataset,
+                        n_samples=spec.n_samples, seed=seed)
+        arrays = store.fetch(key, synthesize, stage="data",
+                             metadata={"dataset": spec.dataset,
+                                       "n_samples": spec.n_samples,
+                                       "seed": seed})
+    return (Dataset(arrays["train_images"], arrays["train_labels"]),
+            Dataset(arrays["test_images"], arrays["test_labels"]))
+
+
 def build_workload(name: str, preset: str = "quick", seed: int = 0,
                    cache_dir: Optional[Path] = None,
                    train_override: Optional[Callable] = None) -> Workload:
@@ -126,29 +164,24 @@ def build_workload(name: str, preset: str = "quick", seed: int = 0,
 
     ``train_override(model, train, spec, rng)`` replaces the default
     training loop — the DVA baseline uses this to inject variation-aware
-    training while sharing data synthesis and caching. Trained weights
-    are stored through :mod:`repro.cache` (the ``workload`` stage):
-    ``cache_dir`` forces a store location, otherwise ``REPRO_CACHE``
-    resolves one (or disables reuse entirely).
+    training while sharing data synthesis and caching. The train/test
+    split (the ``data`` stage) and the trained weights with their float
+    accuracy (the ``workload`` stage) are stored through
+    :mod:`repro.cache`: ``cache_dir`` forces a store location, otherwise
+    ``REPRO_CACHE`` resolves one (or disables reuse entirely).
     """
     if name not in _SPECS:
         raise ValueError(f"unknown workload {name!r}; choose from {workload_names()}")
     if preset not in _SPECS[name]:
         raise ValueError(f"unknown preset {preset!r}")
     spec = _SPECS[name][preset]
-    rng = make_rng(seed)
-    if spec.dataset == "digits":
-        images, labels = synthetic_digits(spec.n_samples, rng=rng)
-    else:
-        images, labels = synthetic_cifar(spec.n_samples, rng=rng)
-    data = Dataset(images, labels)
-    train, test = data.split(0.8, rng=rng)
+    store = resolve_store(cache_dir)
+    train, test = _workload_data(spec, seed, store)
 
     model = spec.model_factory(rng=make_rng(seed + 1)) \
         if _accepts_rng(spec.model_factory) else spec.model_factory(make_rng(seed + 1))
 
     tag = "default" if train_override is None else train_override.__name__
-    store = resolve_store(cache_dir)
 
     def train_state() -> Dict[str, np.ndarray]:
         aug = _augmented(train, spec.noise_augment, make_rng(seed + 2))
@@ -161,10 +194,11 @@ def build_workload(name: str, preset: str = "quick", seed: int = 0,
                                  rng=make_rng(seed + 3))
             else:
                 train_override(model, aug, spec, make_rng(seed + 3))
-        return model.state_dict()
+        accuracy = evaluate_accuracy(model, test)
+        return {**model.state_dict(), _FLOAT_ACCURACY: np.float64(accuracy)}
 
     if store is None:
-        train_state()
+        state = train_state()
     else:
         # Every spec field that shapes the trained weights enters the
         # key, so editing a preset invalidates its artifacts.
@@ -177,10 +211,11 @@ def build_workload(name: str, preset: str = "quick", seed: int = 0,
         state = store.fetch(key, train_state, stage="workload",
                             metadata={"workload": name, "preset": preset,
                                       "seed": seed, "tag": tag})
-        model.load_state_dict(state)
-    acc = evaluate_accuracy(model, test)
+    accuracy = float(state.pop(_FLOAT_ACCURACY))
+    model.load_state_dict(state)
+    model.eval()            # the mode evaluate_accuracy leaves on a miss
     return Workload(name=name, model=model, train=train, test=test,
-                    float_accuracy=acc)
+                    float_accuracy=accuracy)
 
 
 def _accepts_rng(factory: Callable) -> bool:

@@ -45,6 +45,48 @@ def swap_kernels(monkeypatch):
 
 
 @pytest.fixture
+def tiny_workload_specs(monkeypatch):
+    """Swap the experiment registry for two seconds-fast workloads.
+
+    ``tiny-digits`` (LeNet) and ``tiny-cifar`` (a BN residual net) run
+    the real :func:`~repro.eval.experiments.build_workload` path — data
+    stage, training, workload stage — on 40 samples and one epoch.
+    Returns the swapped-in spec table.
+    """
+    from repro.eval import experiments
+    from repro.eval.experiments import WorkloadSpec
+    from repro.nn.models import LeNet
+    from repro.nn.models.resnet import resnet_tiny
+
+    specs = {
+        "tiny-digits": {"quick": WorkloadSpec(
+            "tiny-digits", "digits", LeNet, 40, epochs=1, batch_size=16)},
+        "tiny-cifar": {"quick": WorkloadSpec(
+            "tiny-cifar", "cifar", resnet_tiny, 40, epochs=1,
+            batch_size=16)},
+    }
+    monkeypatch.setattr(experiments, "_SPECS", specs)
+    return specs
+
+
+@pytest.fixture
+def synthesis_calls(monkeypatch):
+    """Spy on dataset synthesis: a list that records the name of every
+    ``synthetic_digits`` / ``synthetic_cifar`` call the workload
+    builder makes."""
+    from repro.eval import experiments
+
+    calls = []
+    for name in ("synthetic_digits", "synthetic_cifar"):
+        def spy(*args, _real=getattr(experiments, name), _name=name,
+                **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, spy)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return make_rng(0)
 

@@ -180,3 +180,25 @@ class TestFreshProcess:
             assert na == nb and np.array_equal(va, vb)
         assert np.array_equal(tiny_workload.test.images,
                               rebuilt.test.images)
+
+
+class TestWarmPrepare:
+    def test_warm_prepare_does_not_synthesize(self, tiny_workload_specs,
+                                              synthesis_calls):
+        """A service resolving its workload by name through a primed
+        process store (``REPRO_CACHE``) replays the data split, weights
+        and programmed deployment without rendering a sample."""
+        config = tiny_serve_config(workload="tiny-digits")
+        cold = InferenceService(config).prepare()
+        assert not cold.warm_start and synthesis_calls == ["synthetic_digits"]
+        del synthesis_calls[:]
+
+        store = ModelRegistry().store
+        artifacts_before = len(store.artifacts())
+        warm = InferenceService(config).prepare()
+        assert synthesis_calls == []
+        assert warm.warm_start and warm.model_key == cold.model_key
+        assert len(store.artifacts()) == artifacts_before
+        assert warm.test_images.tobytes() == cold.test_images.tobytes()
+        assert warm.test_labels.tobytes() == cold.test_labels.tobytes()
+        assert warm.float_accuracy == cold.float_accuracy
